@@ -67,10 +67,10 @@ func Figure1() string {
 		return strings.Join(tags, ", ")
 	}
 	interesting := map[string]uint64{
-		"real syscall":            im.Symbols["real_site"],
-		"partial instruction+2":   im.Symbols["partial"] + 2,
-		"embedded data+1":         im.Symbols["data_blob"] + 1,
-		"real sysenter":           im.Symbols["real_site2"],
+		"real syscall":          im.Symbols["real_site"],
+		"partial instruction+2": im.Symbols["partial"] + 2,
+		"embedded data+1":       im.Symbols["data_blob"] + 1,
+		"real sysenter":         im.Symbols["real_site2"],
 	}
 	for _, name := range []string{"real syscall", "partial instruction+2", "embedded data+1", "real sysenter"} {
 		off := interesting[name]

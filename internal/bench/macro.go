@@ -335,16 +335,16 @@ func Table6() ([]MacroRow, error) {
 
 // PaperTable6 holds the paper's relative-throughput percentages.
 var PaperTable6 = map[string]map[string]float64{
-	"nginx (1 worker, 0 KB)":       {"zpoline-default": 99.05, "zpoline-ultra": 98.40, "lazypoline": 97.85, "k23-default": 97.94, "k23-ultra": 97.29, "k23-ultra+": 96.70, "sud": 51.29},
-	"nginx (1 worker, 4 KB)":       {"zpoline-default": 96.73, "zpoline-ultra": 96.14, "lazypoline": 96.04, "k23-default": 96.24, "k23-ultra": 95.89, "k23-ultra+": 95.76, "sud": 45.95},
-	"nginx (10 workers, 0 KB)":     {"zpoline-default": 99.62, "zpoline-ultra": 99.34, "lazypoline": 98.79, "k23-default": 99.52, "k23-ultra": 98.39, "k23-ultra+": 97.83, "sud": 53.93},
-	"nginx (10 workers, 4 KB)":     {"zpoline-default": 98.83, "zpoline-ultra": 98.76, "lazypoline": 98.14, "k23-default": 98.59, "k23-ultra": 98.12, "k23-ultra+": 98.23, "sud": 53.97},
-	"lighttpd (1 worker, 0 KB)":    {"zpoline-default": 98.76, "zpoline-ultra": 99.48, "lazypoline": 98.23, "k23-default": 99.15, "k23-ultra": 97.89, "k23-ultra+": 97.50, "sud": 61.25},
-	"lighttpd (1 worker, 4 KB)":    {"zpoline-default": 99.28, "zpoline-ultra": 98.37, "lazypoline": 97.93, "k23-default": 98.56, "k23-ultra": 98.01, "k23-ultra+": 97.62, "sud": 61.62},
-	"lighttpd (10 workers, 0 KB)":  {"zpoline-default": 98.77, "zpoline-ultra": 98.60, "lazypoline": 98.18, "k23-default": 98.16, "k23-ultra": 98.36, "k23-ultra+": 97.69, "sud": 59.83},
-	"lighttpd (10 workers, 4 KB)":  {"zpoline-default": 99.17, "zpoline-ultra": 98.98, "lazypoline": 98.67, "k23-default": 99.01, "k23-ultra": 98.65, "k23-ultra+": 98.62, "sud": 65.06},
-	"redis (1 I/O thread)":         {"zpoline-default": 100.00, "zpoline-ultra": 99.93, "lazypoline": 99.98, "k23-default": 100.21, "k23-ultra": 100.17, "k23-ultra+": 99.90, "sud": 96.15},
-	"redis (6 I/O threads)":        {"zpoline-default": 99.94, "zpoline-ultra": 99.80, "lazypoline": 99.80, "k23-default": 99.97, "k23-ultra": 99.97, "k23-ultra+": 99.95, "sud": 35.75},
+	"nginx (1 worker, 0 KB)":        {"zpoline-default": 99.05, "zpoline-ultra": 98.40, "lazypoline": 97.85, "k23-default": 97.94, "k23-ultra": 97.29, "k23-ultra+": 96.70, "sud": 51.29},
+	"nginx (1 worker, 4 KB)":        {"zpoline-default": 96.73, "zpoline-ultra": 96.14, "lazypoline": 96.04, "k23-default": 96.24, "k23-ultra": 95.89, "k23-ultra+": 95.76, "sud": 45.95},
+	"nginx (10 workers, 0 KB)":      {"zpoline-default": 99.62, "zpoline-ultra": 99.34, "lazypoline": 98.79, "k23-default": 99.52, "k23-ultra": 98.39, "k23-ultra+": 97.83, "sud": 53.93},
+	"nginx (10 workers, 4 KB)":      {"zpoline-default": 98.83, "zpoline-ultra": 98.76, "lazypoline": 98.14, "k23-default": 98.59, "k23-ultra": 98.12, "k23-ultra+": 98.23, "sud": 53.97},
+	"lighttpd (1 worker, 0 KB)":     {"zpoline-default": 98.76, "zpoline-ultra": 99.48, "lazypoline": 98.23, "k23-default": 99.15, "k23-ultra": 97.89, "k23-ultra+": 97.50, "sud": 61.25},
+	"lighttpd (1 worker, 4 KB)":     {"zpoline-default": 99.28, "zpoline-ultra": 98.37, "lazypoline": 97.93, "k23-default": 98.56, "k23-ultra": 98.01, "k23-ultra+": 97.62, "sud": 61.62},
+	"lighttpd (10 workers, 0 KB)":   {"zpoline-default": 98.77, "zpoline-ultra": 98.60, "lazypoline": 98.18, "k23-default": 98.16, "k23-ultra": 98.36, "k23-ultra+": 97.69, "sud": 59.83},
+	"lighttpd (10 workers, 4 KB)":   {"zpoline-default": 99.17, "zpoline-ultra": 98.98, "lazypoline": 98.67, "k23-default": 99.01, "k23-ultra": 98.65, "k23-ultra+": 98.62, "sud": 65.06},
+	"redis (1 I/O thread)":          {"zpoline-default": 100.00, "zpoline-ultra": 99.93, "lazypoline": 99.98, "k23-default": 100.21, "k23-ultra": 100.17, "k23-ultra+": 99.90, "sud": 96.15},
+	"redis (6 I/O threads)":         {"zpoline-default": 99.94, "zpoline-ultra": 99.80, "lazypoline": 99.80, "k23-default": 99.97, "k23-ultra": 99.97, "k23-ultra+": 99.95, "sud": 35.75},
 	"sqlite (speedtest1, size 800)": {"zpoline-default": 98.12, "zpoline-ultra": 97.80, "lazypoline": 97.31, "k23-default": 97.56, "k23-ultra": 97.13, "k23-ultra+": 97.20, "sud": 55.90},
 }
 

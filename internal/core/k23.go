@@ -154,11 +154,11 @@ func (z *K23) StartupSyscalls(p *kernel.Process) uint64 {
 // enforces LD_PRELOAD across execve (P1a), services the fake-syscall
 // handoff, and detaches on request.
 type k23Tracer struct {
-	k23     *K23
-	w       *interpose.World
-	proc    *kernel.Process
+	k23      *K23
+	w        *interpose.World
+	proc     *kernel.Process
 	syscalls uint64
-	last    map[int]*interpose.Call
+	last     map[int]*interpose.Call
 }
 
 var _ kernel.Tracer = (*k23Tracer)(nil)

@@ -57,10 +57,10 @@ type LoadedImage struct {
 // procState is the loader's per-process bookkeeping, stored in
 // kernel.Process.LoaderState.
 type procState struct {
-	loaded  []*LoadedImage
-	globals map[string]uint64 // exported symbol -> absolute address
-	ldso    uint64            // ld.so base
-	gate    uint64            // address of the ld.so syscall gate
+	loaded   []*LoadedImage
+	globals  map[string]uint64 // exported symbol -> absolute address
+	ldso     uint64            // ld.so base
+	gate     uint64            // address of the ld.so syscall gate
 	nextBase uint64
 	aslr     uint64 // per-process ASLR PRNG state (0 = disabled)
 	// StartupSyscalls counts syscalls issued before the first
@@ -716,4 +716,3 @@ func (l *Loader) Dlopen(t *kernel.Thread, path string, private bool) (*LoadedIma
 	}
 	return li, nil
 }
-

@@ -98,16 +98,16 @@ type Recording struct {
 // jsonLine is the JSONL envelope: one line per record, discriminated by
 // T ("header", "chaos", "event", "ckpt", "final").
 type jsonLine struct {
-	T             string                 `json:"t"`
-	Version       int                    `json:"version,omitempty"`
-	Spec          *RunSpec               `json:"spec,omitempty"`
-	VClock0       uint64                 `json:"vclock0,omitempty"`
-	Payload       string                 `json:"payload,omitempty"`
-	PayloadDigest uint64                 `json:"payload_digest,omitempty"`
-	Chaos         *kernel.ChaosDecision  `json:"chaos,omitempty"`
-	Event         *EventRec              `json:"event,omitempty"`
-	Ckpt          *CkptMeta              `json:"ckpt,omitempty"`
-	Final         *Final                 `json:"final,omitempty"`
+	T             string                `json:"t"`
+	Version       int                   `json:"version,omitempty"`
+	Spec          *RunSpec              `json:"spec,omitempty"`
+	VClock0       uint64                `json:"vclock0,omitempty"`
+	Payload       string                `json:"payload,omitempty"`
+	PayloadDigest uint64                `json:"payload_digest,omitempty"`
+	Chaos         *kernel.ChaosDecision `json:"chaos,omitempty"`
+	Event         *EventRec             `json:"event,omitempty"`
+	Ckpt          *CkptMeta             `json:"ckpt,omitempty"`
+	Final         *Final                `json:"final,omitempty"`
 }
 
 // WriteJSONL serializes the recording: a header line, then every chaos

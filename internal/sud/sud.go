@@ -133,7 +133,7 @@ func (s *SUD) buildLibrary() *image.Image {
 	d := b.Data()
 	d.Label("sud_selector").Raw(kernel.SelectorAllow)
 	d.Align(8)
-	d.Label("sud_frame").Space(7 * 8) // rax + 6 args
+	d.Label("sud_frame").Space(7 * 8)      // rax + 6 args
 	d.Label("sud_filter").Space(16 + 2*40) // seccomp mode: count, default, 2 rules
 
 	t := b.Text()
