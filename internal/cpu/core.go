@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"k23/internal/mem"
@@ -121,9 +122,10 @@ func (e CMCEvent) String() string {
 const cacheLineSize = 64
 
 type cacheLine struct {
-	data [cacheLineSize]byte
-	base uint64 // line base address
-	gen  uint64 // page generation at fill time
+	data  [cacheLineSize]byte
+	base  uint64 // line base address
+	gen   uint64 // page generation at fill time
+	epoch uint64 // the core's icEpoch at fill time; resident iff current
 }
 
 // DecodeCacheStats counts decoded-instruction cache activity.
@@ -184,6 +186,15 @@ type dcacheEntry struct {
 //     delivery), applied by the kernel via FlushICache,
 //   - the core's own stores that hit a cached line (self-modifying code
 //     on the same core is handled transparently on x86-64).
+//
+// A flush is an epoch bump, not a clear: a line is resident only while
+// its epoch is the core's current one. Refilling a flushed line whose
+// page generation is unchanged revives it without a copy, because equal
+// generations mean equal bytes and equal permissions; any other refill
+// refetches into the same line struct. Generations are only comparable
+// within one AddressSpace and one genClock history, so a core never
+// changes its AS (execve builds a fresh core) and RestoreState drops
+// every line.
 type Core struct {
 	AS   *mem.AddressSpace
 	Ctx  Context
@@ -232,7 +243,10 @@ type Core struct {
 	// Used by the differential harness to hash instruction traces.
 	StepTrace func(rip uint64, op Op)
 
-	icache map[uint64]*cacheLine
+	// icache holds the I-cache lines by line number, resident or
+	// flushed; icEpoch is the current flush epoch (see fill).
+	icache  map[uint64]*cacheLine
+	icEpoch uint64
 
 	// dcache caches decoded instructions by RIP; dcacheByLine maps an
 	// I-cache line number to the RIPs of entries whose encoding covers
@@ -269,7 +283,8 @@ func NewCore(as *mem.AddressSpace) *Core {
 }
 
 // FlushICache discards all cached instruction lines (a serialization
-// point).
+// point) by advancing the I-cache epoch: no line is resident afterwards,
+// but the line structs stay in place for fill to revive or reuse.
 //
 // The decode cache is deliberately NOT flushed here: its entries are
 // generation-checked on every lookup, so after a flush an entry is only
@@ -277,12 +292,46 @@ func NewCore(as *mem.AddressSpace) *Core {
 // from. Flushing it would defeat the cache entirely — the kernel
 // serializes on every syscall.
 func (c *Core) FlushICache() {
-	for k := range c.icache {
-		delete(c.icache, k)
-	}
+	c.icEpoch++
 	// Superblocks, like the decode cache, survive the flush but must
 	// revalidate (and lazily refill) their lines afterwards.
 	c.jitSeq++
+}
+
+// line returns the resident I-cache line with number lineNum, or nil.
+func (c *Core) line(lineNum uint64) *cacheLine {
+	if ln := c.icache[lineNum]; ln != nil && ln.epoch == c.icEpoch {
+		return ln
+	}
+	return nil
+}
+
+// fill makes line lineNum resident from memory, as an I-cache miss does,
+// and returns it. A flushed line whose page generation is unchanged is
+// revived as it stands: equal generations mean equal bytes and equal
+// (still executable) permissions, so a fetch would copy the same bytes.
+// Otherwise the line is refetched, into the existing line struct when
+// there is one. A fetch fault leaves the line non-resident.
+func (c *Core) fill(lineNum uint64) (*cacheLine, error) {
+	base := lineNum * cacheLineSize
+	ln := c.icache[lineNum]
+	if ln != nil && ln.gen == c.AS.Gen(base) {
+		ln.epoch = c.icEpoch
+		return ln, nil
+	}
+	fresh := ln == nil
+	if fresh {
+		ln = &cacheLine{base: base}
+	}
+	gen, err := c.AS.FetchLine(base, ln.data[:])
+	if err != nil {
+		return nil, err
+	}
+	ln.gen, ln.epoch = gen, c.icEpoch
+	if fresh {
+		c.icache[lineNum] = ln
+	}
+	return ln, nil
 }
 
 // invalidateLine drops the cached line containing addr, if present, along
@@ -333,7 +382,7 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 	staleAny := false
 	for i := 0; i < e.nLines; i++ {
 		lineNum := e.lineNum[i]
-		if ln, resident := c.icache[lineNum]; resident {
+		if ln := c.line(lineNum); ln != nil {
 			if ln.gen != e.lineGen[i] {
 				return Inst{}, nil, false
 			}
@@ -342,13 +391,12 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 			}
 			continue
 		}
-		ln := &cacheLine{base: lineNum * cacheLineSize}
-		gen, err := c.AS.FetchLine(ln.base, ln.data[:])
-		if err != nil || gen != e.lineGen[i] {
+		// The refill is the uncached path's own fetch side effect, so the
+		// line stays resident even when the entry then misses.
+		ln, err := c.fill(lineNum)
+		if err != nil || ln.gen != e.lineGen[i] {
 			return Inst{}, nil, false
 		}
-		ln.gen = gen
-		c.icache[lineNum] = ln
 	}
 	c.DecodeStats.Hits++
 	bytes := e.bytes[:e.inst.Len]
@@ -365,7 +413,7 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 	last := (rip + uint64(inst.Len) - 1) / cacheLineSize
 	for l := first; l <= last; l++ {
 		e.lineNum[e.nLines] = l
-		if ln := c.icache[l]; ln != nil {
+		if ln := c.line(l); ln != nil {
 			e.lineGen[e.nLines] = ln.gen
 		}
 		e.nLines++
@@ -384,16 +432,13 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 // caller perform one staleness check per line instead of per byte.
 func (c *Core) fetchByte(addr uint64) (b byte, ln *cacheLine, err error) {
 	lineNum := addr / cacheLineSize
-	if ln, ok := c.icache[lineNum]; ok && !c.Coherent {
+	if ln := c.line(lineNum); ln != nil && !c.Coherent {
 		return ln.data[addr%cacheLineSize], ln, nil
 	}
-	ln = &cacheLine{base: lineNum * cacheLineSize}
-	gen, ferr := c.AS.FetchLine(addr, ln.data[:])
-	if ferr != nil {
-		return 0, nil, ferr
+	ln, err = c.fill(lineNum)
+	if err != nil {
+		return 0, nil, err
 	}
-	ln.gen = gen
-	c.icache[lineNum] = ln
 	return ln.data[addr%cacheLineSize], nil, nil
 }
 
@@ -453,7 +498,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 	first := rip / cacheLineSize
 	last := (rip + uint64(n) - 1) / cacheLineSize
 	for l := first; l <= last; l++ {
-		if ln := c.icache[l]; ln != nil && ln.gen != c.AS.Gen(ln.base) {
+		if ln := c.line(l); ln != nil && ln.gen != c.AS.Gen(ln.base) {
 			staleAny = true
 		}
 	}
@@ -495,16 +540,21 @@ func (c *Core) noteStaleness(inst Inst, bytes []byte, stale bool) {
 // store performs a user-plane store and keeps this core's own I-cache
 // coherent with its own writes (per x86-64 self-modifying-code rules).
 func (c *Core) store(addr uint64, b []byte) error {
-	if err := c.AS.Store(addr, b, c.PKRU); err != nil {
+	if err := c.AS.Store(addr, b, c.PKRU); err != nil || len(b) == 0 {
 		return err
 	}
-	for i := 0; i < len(b); i += cacheLineSize {
-		c.invalidateLine(addr + uint64(i))
-	}
-	if len(b) > 0 {
-		c.invalidateLine(addr + uint64(len(b)-1))
+	for l := addr / cacheLineSize; l <= (addr+uint64(len(b))-1)/cacheLineSize; l++ {
+		c.invalidateLine(l * cacheLineSize)
 	}
 	return nil
+}
+
+// storeLE stores the low n bytes of v, little-endian, at addr: store's
+// fixed-width form, which does not allocate.
+func (c *Core) storeLE(addr, v uint64, n int) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return c.store(addr, b[:n])
 }
 
 // StoreAsSelf performs a user-plane store attributed to this core,
@@ -574,7 +624,7 @@ func (c *Core) Step() Stop {
 	case OpCallReg:
 		target := r[inst.A]
 		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(next)); err != nil {
+		if err := c.storeLE(r[RSP], next, 8); err != nil {
 			r[RSP] += 8
 			return faultStop(err, site)
 		}
@@ -627,27 +677,26 @@ func (c *Core) Step() Stop {
 		}
 		r[inst.A] = v
 	case OpLoadB:
-		b, err := c.AS.Load(r[inst.B]+uint64(inst.Imm), 1, c.PKRU)
+		b, err := c.AS.LoadU8(r[inst.B]+uint64(inst.Imm), c.PKRU)
 		if err != nil {
 			return faultStop(err, site)
 		}
-		r[inst.A] = uint64(b[0])
+		r[inst.A] = uint64(b)
 	case OpStore:
-		if err := c.store(r[inst.A]+uint64(inst.Imm), putLE64(r[inst.B])); err != nil {
+		if err := c.storeLE(r[inst.A]+uint64(inst.Imm), r[inst.B], 8); err != nil {
 			return faultStop(err, site)
 		}
 	case OpStoreB:
-		if err := c.store(r[inst.A]+uint64(inst.Imm), []byte{byte(r[inst.B])}); err != nil {
+		if err := c.storeLE(r[inst.A]+uint64(inst.Imm), r[inst.B], 1); err != nil {
 			return faultStop(err, site)
 		}
 	case OpStoreW:
-		v := uint16(r[inst.B])
-		if err := c.store(r[inst.A]+uint64(inst.Imm), []byte{byte(v), byte(v >> 8)}); err != nil {
+		if err := c.storeLE(r[inst.A]+uint64(inst.Imm), r[inst.B], 2); err != nil {
 			return faultStop(err, site)
 		}
 	case OpCall:
 		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(next)); err != nil {
+		if err := c.storeLE(r[RSP], next, 8); err != nil {
 			r[RSP] += 8
 			return faultStop(err, site)
 		}
@@ -688,7 +737,7 @@ func (c *Core) Step() Stop {
 		return Stop{Kind: StopNone}
 	case OpPush:
 		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(r[inst.A])); err != nil {
+		if err := c.storeLE(r[RSP], r[inst.A], 8); err != nil {
 			r[RSP] += 8
 			return faultStop(err, site)
 		}
@@ -716,11 +765,4 @@ func faultStop(err error, site uint64) Stop {
 		return Stop{Kind: StopFault, Fault: f, Site: site}
 	}
 	return Stop{Kind: StopFault, Fault: &mem.Fault{}, Site: site}
-}
-
-func putLE64(v uint64) []byte {
-	return []byte{
-		byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56),
-	}
 }

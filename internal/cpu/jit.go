@@ -306,7 +306,7 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 func (c *Core) sbValidateLine(sb *superblock, idx int) bool {
 	lineNum := sb.firstLine + uint64(idx)
 	want := sb.gens[idx]
-	if ln, resident := c.icache[lineNum]; resident {
+	if ln := c.line(lineNum); ln != nil {
 		if ln.gen != want {
 			c.evictBlock(sb)
 			return false
@@ -316,14 +316,11 @@ func (c *Core) sbValidateLine(sb *superblock, idx int) bool {
 		}
 		return true
 	}
-	ln := &cacheLine{base: lineNum * cacheLineSize}
-	gen, err := c.AS.FetchLine(ln.base, ln.data[:])
+	ln, err := c.fill(lineNum)
 	if err != nil {
 		return false
 	}
-	ln.gen = gen
-	c.icache[lineNum] = ln
-	if gen != want {
+	if ln.gen != want {
 		c.evictBlock(sb)
 		return false
 	}
@@ -668,18 +665,18 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 		}
 	case OpLoadB:
 		body = func(c *Core) (sbRes, Stop) {
-			bs, err := c.AS.Load(c.Ctx.R[b]+uimm, 1, c.PKRU)
+			v, err := c.AS.LoadU8(c.Ctx.R[b]+uimm, c.PKRU)
 			if err != nil {
 				return sbStop, faultStop(err, site)
 			}
-			c.Ctx.R[a] = uint64(bs[0])
+			c.Ctx.R[a] = uint64(v)
 			c.Ctx.RIP = next
 			return sbNext, Stop{}
 		}
 	case OpStore:
 		body = func(c *Core) (sbRes, Stop) {
 			addr := c.Ctx.R[a] + uimm
-			if err := c.store(addr, putLE64(c.Ctx.R[b])); err != nil {
+			if err := c.storeLE(addr, c.Ctx.R[b], 8); err != nil {
 				return sbStop, faultStop(err, site)
 			}
 			c.Ctx.RIP = next
@@ -692,7 +689,7 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 	case OpStoreB:
 		body = func(c *Core) (sbRes, Stop) {
 			addr := c.Ctx.R[a] + uimm
-			if err := c.store(addr, []byte{byte(c.Ctx.R[b])}); err != nil {
+			if err := c.storeLE(addr, c.Ctx.R[b], 1); err != nil {
 				return sbStop, faultStop(err, site)
 			}
 			c.Ctx.RIP = next
@@ -705,8 +702,7 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 	case OpStoreW:
 		body = func(c *Core) (sbRes, Stop) {
 			addr := c.Ctx.R[a] + uimm
-			v := uint16(c.Ctx.R[b])
-			if err := c.store(addr, []byte{byte(v), byte(v >> 8)}); err != nil {
+			if err := c.storeLE(addr, c.Ctx.R[b], 2); err != nil {
 				return sbStop, faultStop(err, site)
 			}
 			c.Ctx.RIP = next
@@ -720,7 +716,7 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 		body = func(c *Core) (sbRes, Stop) {
 			c.Ctx.R[RSP] -= 8
 			addr := c.Ctx.R[RSP]
-			if err := c.store(addr, putLE64(c.Ctx.R[a])); err != nil {
+			if err := c.storeLE(addr, c.Ctx.R[a], 8); err != nil {
 				c.Ctx.R[RSP] += 8
 				return sbStop, faultStop(err, site)
 			}
@@ -746,7 +742,7 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 		target := uint64(int64(next) + imm)
 		body = func(c *Core) (sbRes, Stop) {
 			c.Ctx.R[RSP] -= 8
-			if err := c.store(c.Ctx.R[RSP], putLE64(next)); err != nil {
+			if err := c.storeLE(c.Ctx.R[RSP], next, 8); err != nil {
 				c.Ctx.R[RSP] += 8
 				return sbStop, faultStop(err, site)
 			}
@@ -757,7 +753,7 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 		body = func(c *Core) (sbRes, Stop) {
 			target := c.Ctx.R[a]
 			c.Ctx.R[RSP] -= 8
-			if err := c.store(c.Ctx.R[RSP], putLE64(next)); err != nil {
+			if err := c.storeLE(c.Ctx.R[RSP], next, 8); err != nil {
 				c.Ctx.R[RSP] += 8
 				return sbStop, faultStop(err, site)
 			}

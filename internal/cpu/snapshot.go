@@ -16,6 +16,8 @@ import "k23/internal/mem"
 // observable effect beyond their own statistics counters.
 
 // ICacheLine is the exported snapshot of one resident I-cache line.
+// Flushed lines the core keeps for revival (see Core.fill) are not
+// architectural state and are never exported.
 type ICacheLine struct {
 	Base uint64
 	Gen  uint64
@@ -60,7 +62,9 @@ func (c *Core) SnapshotState() CoreState {
 		s.LastCMC = &ev
 	}
 	for _, line := range c.icache {
-		s.ICache = append(s.ICache, ICacheLine{Base: line.base, Gen: line.gen, Data: line.data})
+		if line.epoch == c.icEpoch {
+			s.ICache = append(s.ICache, ICacheLine{Base: line.base, Gen: line.gen, Data: line.data})
+		}
 	}
 	return s
 }
@@ -68,9 +72,12 @@ func (c *Core) SnapshotState() CoreState {
 // RestoreState rewinds the core to the snapshot, in place: the Core
 // keeps its identity (the kernel's thread holds the pointer, and the
 // StepTrace hook, cache-off flags and AS binding are live configuration
-// owned by the caller). The I-cache is rebuilt exactly; the decode and
-// superblock caches restart cold, with their epoch advanced so no stale
-// compiled state can be considered validated.
+// owned by the caller). The I-cache is rebuilt exactly and every flushed
+// line is dropped: the address space's RestoreState rewinds its
+// genClock, so a generation value can recur and a kept line could be
+// revived over different bytes. The decode and superblock caches restart
+// cold, with their epoch advanced so no stale compiled state can be
+// considered validated.
 func (c *Core) RestoreState(s CoreState) {
 	c.Ctx = s.Ctx
 	c.PKRU = s.PKRU
@@ -92,7 +99,7 @@ func (c *Core) RestoreState(s CoreState) {
 
 	c.icache = make(map[uint64]*cacheLine, len(s.ICache))
 	for _, line := range s.ICache {
-		cl := &cacheLine{base: line.Base, gen: line.Gen}
+		cl := &cacheLine{base: line.Base, gen: line.Gen, epoch: c.icEpoch}
 		cl.data = line.Data
 		c.icache[line.Base/cacheLineSize] = cl
 	}

@@ -120,6 +120,33 @@ func TestSeekSeq(t *testing.T) {
 	}
 }
 
+// TestRepeatedSeekSeq seeks forward past a region an earlier seek
+// truncated the live event stream to, then back again. Each seek must
+// rebuild its event prefix from the recording: the forward seek used to
+// slice the truncated stream past its capacity and panic, and within
+// capacity it read stale entries.
+func TestRepeatedSeekSeq(t *testing.T) {
+	spec := redisSpec()
+	spec.CheckpointEvery = 10_000
+	s := record(t, spec)
+	if s.NumCheckpoints() < 5 {
+		t.Fatalf("want >= 5 checkpoints, got %d", s.NumCheckpoints())
+	}
+	for _, ck := range []int{1, 4, 2} {
+		target := s.Rec.Checkpoints[ck].Seq + 1
+		sk, err := s.SeekSeq(target)
+		if err != nil {
+			t.Fatalf("SeekSeq(ckpt[%d]+1): %v", ck, err)
+		}
+		if sk.Seq < target+1 {
+			t.Fatalf("ckpt[%d]: seek stopped at seq %d, target %d not yet emitted", ck, sk.Seq, target)
+		}
+		if n := len(s.events); n > len(s.Rec.Events) || !reflect.DeepEqual(s.events, s.Rec.Events[:n]) {
+			t.Fatalf("ckpt[%d]: live event stream (%d events) is not a prefix of the recording", ck, n)
+		}
+	}
+}
+
 // TestSeekBeforeFirstCheckpoint covers the launch-time fallback: a
 // target emitted during Launch (e.g. a startup-category audit escape)
 // has no checkpoint before it, so the seek replays the launch alone in
