@@ -121,11 +121,20 @@ func (e CMCEvent) String() string {
 // cacheLineSize is the I-cache line size in bytes.
 const cacheLineSize = 64
 
+// cacheLine is the core's one record per I-cache line number: the line
+// itself and the index own-store invalidation walks. A record not yet
+// filled — created by indexing alone, or by a fetch that faulted — has
+// gen 0 and epoch 0, so it is neither resident nor revivable until a
+// fetch succeeds.
 type cacheLine struct {
 	data  [cacheLineSize]byte
 	base  uint64 // line base address
-	gen   uint64 // page generation at fill time
+	gen   uint64 // page generation at fill time; 0 before the first fetch
 	epoch uint64 // the core's icEpoch at fill time; resident iff current
+	// dc and sb list the RIPs of the decoded entries and superblocks
+	// covering the line, each RIP at most once. A listed RIP whose entry
+	// has since gone is skipped at invalidation time.
+	dc, sb []uint64
 }
 
 // DecodeCacheStats counts decoded-instruction cache activity.
@@ -162,12 +171,13 @@ func (s *DecodeCacheStats) Add(other DecodeCacheStats) {
 // I-cache line if present, against memory otherwise), which is what makes
 // the cache an optimisation and not a semantic change: an entry is only
 // replayed when the uncached fetch path would have produced the same
-// bytes.
+// bytes. lines holds the covered lines' records, which stay the core's
+// current ones while the entry is cached (see invalidateLine).
 type dcacheEntry struct {
 	inst    Inst
 	bytes   [MaxInstLen]byte
-	lineNum [2]uint64 // I-cache line numbers covered (MaxInstLen < lineSize ⇒ at most 2)
-	lineGen [2]uint64 // page generation of each line when the entry was built
+	lines   [2]*cacheLine // records of the lines covered (MaxInstLen < lineSize ⇒ at most 2)
+	lineGen [2]uint64     // page generation of each line when the entry was built
 	nLines  int
 }
 
@@ -243,24 +253,22 @@ type Core struct {
 	// Used by the differential harness to hash instruction traces.
 	StepTrace func(rip uint64, op Op)
 
-	// icache holds the I-cache lines by line number, resident or
-	// flushed; icEpoch is the current flush epoch (see fill).
+	// icache holds the line records by line number: resident, flushed,
+	// or never filled. icEpoch is the current flush epoch (see fill); it
+	// starts at 1, so a record never filled (epoch 0) is never resident.
 	icache  map[uint64]*cacheLine
 	icEpoch uint64
 
-	// dcache caches decoded instructions by RIP; dcacheByLine maps an
-	// I-cache line number to the RIPs of entries whose encoding covers
-	// it, so own-store invalidation does not scan the whole cache.
-	dcache       map[uint64]*dcacheEntry
-	dcacheByLine map[uint64]map[uint64]struct{}
+	// dcache caches decoded instructions by RIP; each covered line's
+	// record lists the entry's RIP, so own-store invalidation does not
+	// scan the whole cache.
+	dcache map[uint64]*dcacheEntry
 
-	// jcache holds compiled superblocks by entry RIP; jcacheByLine maps
-	// an I-cache line number to the entry RIPs of superblocks whose code
-	// covers it (same eager-invalidation scheme as dcacheByLine). hot
-	// counts anchor visits toward the compilation threshold.
-	jcache       map[uint64]*superblock
-	jcacheByLine map[uint64]map[uint64]struct{}
-	hot          map[uint64]uint32
+	// jcache holds compiled superblocks by entry RIP, indexed on their
+	// lines' records the same way. hot counts anchor visits toward the
+	// compilation threshold.
+	jcache map[uint64]*superblock
+	hot    map[uint64]uint32
 
 	// jitSeq numbers superblock validation epochs: it advances at every
 	// Run quantum entry and every I-cache flush, the only two points
@@ -272,13 +280,12 @@ type Core struct {
 // NewCore returns a core bound to the given address space.
 func NewCore(as *mem.AddressSpace) *Core {
 	return &Core{
-		AS:           as,
-		icache:       make(map[uint64]*cacheLine),
-		dcache:       make(map[uint64]*dcacheEntry),
-		dcacheByLine: make(map[uint64]map[uint64]struct{}),
-		jcache:       make(map[uint64]*superblock),
-		jcacheByLine: make(map[uint64]map[uint64]struct{}),
-		hot:          make(map[uint64]uint32),
+		AS:      as,
+		icache:  make(map[uint64]*cacheLine),
+		icEpoch: 1,
+		dcache:  make(map[uint64]*dcacheEntry),
+		jcache:  make(map[uint64]*superblock),
+		hot:     make(map[uint64]uint32),
 	}
 }
 
@@ -307,62 +314,85 @@ func (c *Core) line(lineNum uint64) *cacheLine {
 }
 
 // fill makes line lineNum resident from memory, as an I-cache miss does,
-// and returns it. A flushed line whose page generation is unchanged is
-// revived as it stands: equal generations mean equal bytes and equal
-// (still executable) permissions, so a fetch would copy the same bytes.
-// Otherwise the line is refetched, into the existing line struct when
-// there is one. A fetch fault leaves the line non-resident.
+// and returns its record. A fetch fault leaves the line non-resident.
 func (c *Core) fill(lineNum uint64) (*cacheLine, error) {
-	base := lineNum * cacheLineSize
-	ln := c.icache[lineNum]
-	if ln != nil && ln.gen == c.AS.Gen(base) {
-		ln.epoch = c.icEpoch
-		return ln, nil
-	}
-	fresh := ln == nil
-	if fresh {
-		ln = &cacheLine{base: base}
-	}
-	gen, err := c.AS.FetchLine(base, ln.data[:])
-	if err != nil {
+	ln := c.record(lineNum)
+	if err := c.fillRec(ln); err != nil {
 		return nil, err
-	}
-	ln.gen, ln.epoch = gen, c.icEpoch
-	if fresh {
-		c.icache[lineNum] = ln
 	}
 	return ln, nil
 }
 
-// invalidateLine drops the cached line containing addr, if present, along
-// with any decoded-instruction entries whose encoding covers the line
-// and any superblocks whose code does (the same-core self-modifying-code
-// rule).
+// fillRec makes the record ln, which the caller already holds, resident.
+// A flushed line whose page generation is unchanged is revived as it
+// stands: equal generations mean equal bytes and equal (still
+// executable) permissions, so a fetch would copy the same bytes. A
+// record never filled has gen 0, which is also the Gen of an unmapped
+// page, so it is never revived. Otherwise the line is refetched into the
+// same record; a fetch fault leaves it as it was.
+func (c *Core) fillRec(ln *cacheLine) error {
+	if ln.gen != 0 && ln.gen == c.AS.Gen(ln.base) {
+		ln.epoch = c.icEpoch
+		return nil
+	}
+	gen, err := c.AS.FetchLine(ln.base, ln.data[:])
+	if err != nil {
+		return err
+	}
+	ln.gen, ln.epoch = gen, c.icEpoch
+	return nil
+}
+
+// record returns the record of line lineNum, creating a non-resident,
+// never-filled one when there is none.
+func (c *Core) record(lineNum uint64) *cacheLine {
+	ln := c.icache[lineNum]
+	if ln == nil {
+		ln = &cacheLine{base: lineNum * cacheLineSize}
+		c.icache[lineNum] = ln
+	}
+	return ln
+}
+
+// addRIP appends rip to list unless it is already there.
+func addRIP(list []uint64, rip uint64) []uint64 {
+	for _, r := range list {
+		if r == rip {
+			return list
+		}
+	}
+	return append(list, rip)
+}
+
+// invalidateLine drops the record of the line containing addr, if any,
+// along with the decoded-instruction entries and superblocks it lists
+// (the same-core self-modifying-code rule). This and RestoreState are
+// the only ways a record leaves the map, and both drop every entry and
+// block that holds it, so a cached entry or live block only ever holds
+// current records.
 func (c *Core) invalidateLine(addr uint64) {
 	line := addr / cacheLineSize
-	delete(c.icache, line)
-	if rips := c.dcacheByLine[line]; len(rips) > 0 {
-		for rip := range rips {
-			if _, ok := c.dcache[rip]; ok {
-				delete(c.dcache, rip)
-				c.DecodeStats.Invalidations++
-			}
-		}
-		delete(c.dcacheByLine, line)
+	ln := c.icache[line]
+	if ln == nil {
+		return
 	}
-	if rips := c.jcacheByLine[line]; len(rips) > 0 {
-		for rip := range rips {
-			if sb, ok := c.jcache[rip]; ok {
-				c.evictBlock(sb)
-			}
+	delete(c.icache, line)
+	for _, rip := range ln.dc {
+		if _, ok := c.dcache[rip]; ok {
+			delete(c.dcache, rip)
+			c.DecodeStats.Invalidations++
 		}
-		delete(c.jcacheByLine, line)
+	}
+	for _, rip := range ln.sb {
+		if sb, ok := c.jcache[rip]; ok {
+			c.evictBlock(sb)
+		}
 	}
 }
 
 // lookupDecoded consults the decode cache for the instruction at rip. A
 // hit must be indistinguishable from the uncached path, so each covered
-// line is revalidated:
+// line is revalidated through the record the entry holds:
 //
 //   - line resident in the I-cache: hit only if the line's generation
 //     equals the entry's snapshot (the entry was decoded from exactly the
@@ -381,8 +411,8 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 	}
 	staleAny := false
 	for i := 0; i < e.nLines; i++ {
-		lineNum := e.lineNum[i]
-		if ln := c.line(lineNum); ln != nil {
+		ln := e.lines[i]
+		if ln.epoch == c.icEpoch {
 			if ln.gen != e.lineGen[i] {
 				return Inst{}, nil, false
 			}
@@ -393,8 +423,7 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 		}
 		// The refill is the uncached path's own fetch side effect, so the
 		// line stays resident even when the entry then misses.
-		ln, err := c.fill(lineNum)
-		if err != nil || ln.gen != e.lineGen[i] {
+		if c.fillRec(ln) != nil || ln.gen != e.lineGen[i] {
 			return Inst{}, nil, false
 		}
 	}
@@ -412,17 +441,13 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 	first := rip / cacheLineSize
 	last := (rip + uint64(inst.Len) - 1) / cacheLineSize
 	for l := first; l <= last; l++ {
-		e.lineNum[e.nLines] = l
-		if ln := c.line(l); ln != nil {
+		ln := c.record(l)
+		if ln.epoch == c.icEpoch {
 			e.lineGen[e.nLines] = ln.gen
 		}
+		e.lines[e.nLines] = ln
 		e.nLines++
-		set, ok := c.dcacheByLine[l]
-		if !ok {
-			set = make(map[uint64]struct{})
-			c.dcacheByLine[l] = set
-		}
-		set[rip] = struct{}{}
+		ln.dc = addRIP(ln.dc, rip)
 	}
 	c.dcache[rip] = e
 }

@@ -3,7 +3,6 @@ package cpu
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
 	"testing"
 
 	"k23/internal/mem"
@@ -179,7 +178,6 @@ func TestICacheSnapshotGolden(t *testing.T) {
 			}
 		}
 		lines := c.SnapshotState().ICache
-		sort.Slice(lines, func(i, j int) bool { return lines[i].Base < lines[j].Base })
 		h := fnv.New64a()
 		for _, ln := range lines {
 			var hdr [16]byte
@@ -191,6 +189,95 @@ func TestICacheSnapshotGolden(t *testing.T) {
 		if got := h.Sum64(); got != icacheGoldenHash {
 			t.Errorf("%s: resident I-cache hash %#x over %d lines, want %#x",
 				mode.name, got, len(lines), icacheGoldenHash)
+		}
+	}
+}
+
+// TestLineRecordFromIndexingNotResident: compiling a block indexes it on
+// every line it covers, which creates records for lines never fetched.
+// Such a record must be neither resident nor revivable — not even on a
+// page unmapped since, whose Gen is 0 like the record's — so fetching
+// from it faults exactly as on a core that never indexed the line.
+func TestLineRecordFromIndexingNotResident(t *testing.T) {
+	build := func() *Core {
+		as := mem.NewAddressSpace()
+		for _, base := range []uint64{0x1000, 0x2000} {
+			if err := as.Map(base, mem.PageSize, mem.PermRWX, "code"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nops := make([]byte, 24) // 0x1ff0..0x2007, then a HLT
+		for i := range nops {
+			nops[i] = ByteNop
+		}
+		if err := as.KStore(0x1ff0, append(nops, asm(Inst{Op: OpHlt})...)); err != nil {
+			t.Fatal(err)
+		}
+		return NewCore(as)
+	}
+	c, ref := build(), build()
+	c.buildBlock(0x1ff0)
+	rec := c.icache[0x2000/cacheLineSize]
+	if sb := c.jcache[0x1ff0]; sb == nil || len(sb.code) == 0 || rec == nil {
+		t.Fatal("test vacuous: no block indexed on the line at 0x2000")
+	}
+	if c.line(0x1fc0/cacheLineSize) != nil || c.line(0x2000/cacheLineSize) != nil {
+		t.Fatal("a line only indexed, never fetched, is resident")
+	}
+	if n := len(c.SnapshotState().ICache); n != 0 {
+		t.Fatalf("snapshot exports %d lines, none fetched", n)
+	}
+
+	for _, core := range []*Core{c, ref} {
+		if err := core.AS.Unmap(0x2000, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Ctx.RIP, ref.Ctx.RIP = 0x1ff0, 0x1ff0
+	ref.JITOff = true
+	s, want := runQuanta(t, c, 100, 10), runQuanta(t, ref, 100, 10)
+	if !stopsEqual(s, want) || s.Kind != StopFault || s.Site != 0x2000 {
+		t.Fatalf("stop %+v, want %+v (a fault at 0x2000)", s, want)
+	}
+	coreStatesEqual(t, "indexed-only line", c, ref)
+	icacheEqual(t, "indexed-only line", c, ref)
+}
+
+// TestLineIndexBounded: another core rewrites one code line a thousand
+// times, serializing this core after each rewrite, so the line's decoded
+// entries and its block are dropped and rebuilt at the same RIPs every
+// time. The line record lists each RIP once, however often it returns.
+func TestLineIndexBounded(t *testing.T) {
+	code := placed(0x1000,
+		Inst{Op: OpAddImm, A: RBX, Imm: 1},
+		Inst{Op: OpAddImm, A: RCX, Imm: -1},
+		Inst{Op: OpCmpImm, A: RCX, Imm: 0},
+		Inst{Op: OpJnz, Imm: 0x1000},
+		Inst{Op: OpHlt},
+	)
+	for _, jitOff := range []bool{false, true} {
+		c := smcCore(t, code)
+		c.JITOff = jitOff
+		c.Ctx.R[RCX] = 1 << 40
+		for i := 0; i < 1000; i++ {
+			if s := c.Run(300); s.Kind != StopNone {
+				t.Fatalf("jitOff=%v: stop %+v", jitOff, s)
+			}
+			if err := NewCore(c.AS).StoreAsSelf(0x1000, code[:6]); err != nil {
+				t.Fatal(err)
+			}
+			c.FlushICache()
+		}
+		ln := c.icache[0x1000/cacheLineSize]
+		if ln == nil {
+			t.Fatalf("jitOff=%v: code line has no record", jitOff)
+		}
+		if len(ln.dc) > 5 || len(ln.sb) > 1 {
+			t.Errorf("jitOff=%v: line lists %d decoded RIPs and %d block RIPs, want at most 5 and 1",
+				jitOff, len(ln.dc), len(ln.sb))
+		}
+		if jitOff && c.DecodeStats.Misses < 1000 || !jitOff && c.JITStats.Blocks < 1000 {
+			t.Fatalf("jitOff=%v: test vacuous: %+v %+v", jitOff, c.DecodeStats, c.JITStats)
 		}
 	}
 }

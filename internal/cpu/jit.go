@@ -84,6 +84,9 @@ type JITStats struct {
 	// Invalidations counts superblocks evicted by invalidateLine
 	// (self-modifying or cross-modified code).
 	Invalidations uint64
+	// Links counts superblock entries reached through the previous
+	// block's successor link instead of a block-cache lookup.
+	Links uint64
 }
 
 // Add accumulates other into s.
@@ -95,6 +98,7 @@ func (s *JITStats) Add(other JITStats) {
 	s.Bails += other.Bails
 	s.SelfWrites += other.SelfWrites
 	s.Invalidations += other.Invalidations
+	s.Links += other.Links
 }
 
 // Coverage returns the fraction of totalInsts retired inside
@@ -126,7 +130,7 @@ type sbClosure func(c *Core) (sbRes, Stop)
 // sbInst is one compiled instruction: its pre-bound body closure, the
 // retirement metadata the dispatcher charges before running it (site,
 // op, cycle cost — mirroring Step's accounting order), and the index
-// (into superblock.gens) of the last code line its encoding covers,
+// (into superblock.lines) of the last code line its encoding covers,
 // which drives the lazy line-fill watermark.
 type sbInst struct {
 	run     sbClosure
@@ -136,11 +140,12 @@ type sbInst struct {
 	endLine int
 }
 
-// superblock is a compiled straight-line region. gens[i] is the page
-// generation of line firstLine+i at build time; execution revalidates
-// each line against it before the first instruction touching the line
-// runs. A superblock with no code is a sentinel: the region was scanned
-// and found too small, so the dispatcher stops trying to compile it.
+// superblock is a compiled straight-line region. lines holds its code
+// lines, contiguous from the entry's line, each with its page generation
+// at build time; execution revalidates each line against it before the
+// first instruction touching the line runs. A superblock with no code is a
+// sentinel: the region was scanned and found too small, so the
+// dispatcher stops trying to compile it.
 //
 // seq caches a successful full validation: when it equals the core's
 // jitSeq, every code line was validated resident at the block's build
@@ -149,12 +154,25 @@ type sbInst struct {
 // write memory only while this core is descheduled) and at I-cache
 // flushes, and this core's own stores evict overlapping blocks eagerly
 // — so re-entry skips the per-line generation checks entirely.
+//
+// next holds up to two successor links: blocks Run dispatched to right
+// after this one. dead is set when the block leaves the block cache, so
+// a link is followed only while its target is still the cached block at
+// its entry.
 type superblock struct {
-	entry     uint64
-	code      []sbInst
-	firstLine uint64
-	gens      []uint64
-	seq       uint64
+	entry uint64
+	code  []sbInst
+	lines []sbLine
+	seq   uint64
+	next  [2]*superblock
+	dead  bool
+}
+
+// sbLine is one code line of a superblock: the line's record and its
+// page generation at build time.
+type sbLine struct {
+	gen uint64
+	ln  *cacheLine
 }
 
 // jitActive reports whether this core dispatches through superblocks.
@@ -186,9 +204,13 @@ func (c *Core) Run(budget int) Stop {
 	// anchor marks RIPs worth counting toward compilation: quantum
 	// entry, backward-transfer targets, and superblock exit points.
 	anchor := true
+	// prev is the block that ran last, if nothing ran after it.
+	var prev *superblock
 	for budget > 0 {
 		rip := c.Ctx.RIP
-		if sb, ok := c.jcache[rip]; ok {
+		sb := c.successor(prev, rip)
+		prev = nil
+		if sb != nil {
 			if len(sb.code) > 0 {
 				stop, executed := c.execBlock(sb, budget)
 				budget -= executed
@@ -197,6 +219,7 @@ func (c *Core) Run(budget int) Stop {
 				}
 				if executed > 0 {
 					anchor = true
+					prev = sb
 					continue
 				}
 				// Bailed before the first instruction: interpret one
@@ -223,11 +246,40 @@ func (c *Core) Run(budget int) Stop {
 	return Stop{Kind: StopNone}
 }
 
+// successor returns the cached block entered at rip, or nil. It follows
+// prev's links first: a live linked block at rip is exactly what the
+// block cache holds there. Otherwise it looks rip up in the cache and
+// links a block it finds from prev.
+func (c *Core) successor(prev *superblock, rip uint64) *superblock {
+	if prev == nil {
+		return c.jcache[rip]
+	}
+	for _, sb := range prev.next {
+		if sb != nil && sb.entry == rip && !sb.dead {
+			if len(sb.code) > 0 {
+				c.JITStats.Links++
+			}
+			return sb
+		}
+	}
+	sb := c.jcache[rip]
+	if sb != nil {
+		// Keep the first live link and let the second slot follow the
+		// most recent other successor.
+		if prev.next[0] == nil || prev.next[0].dead {
+			prev.next[0] = sb
+		} else {
+			prev.next[1] = sb
+		}
+	}
+	return sb
+}
+
 // noteHot bumps the anchor counter for rip and reports whether it
 // crossed the compilation threshold.
 func (c *Core) noteHot(rip uint64) bool {
 	if len(c.hot) >= jitMaxHot {
-		c.hot = make(map[uint64]uint32)
+		clear(c.hot)
 	}
 	h := c.hot[rip] + 1
 	if h >= jitHotThreshold {
@@ -264,7 +316,7 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 				return Stop{Kind: StopNone}, executed
 			}
 			filled++
-			if filled == len(sb.gens) {
+			if filled == len(sb.lines) {
 				sb.seq = c.jitSeq
 			}
 		}
@@ -304,49 +356,45 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 //     interpreter reproduces the fault at the correct site. A refill at
 //     a different generation than build time evicts and bails.
 func (c *Core) sbValidateLine(sb *superblock, idx int) bool {
-	lineNum := sb.firstLine + uint64(idx)
-	want := sb.gens[idx]
-	if ln := c.line(lineNum); ln != nil {
-		if ln.gen != want {
+	sl := sb.lines[idx]
+	ln := sl.ln
+	if ln.epoch == c.icEpoch {
+		if ln.gen != sl.gen {
 			c.evictBlock(sb)
 			return false
 		}
-		if ln.gen != c.AS.Gen(ln.base) {
-			return false
-		}
-		return true
+		return ln.gen == c.AS.Gen(ln.base)
 	}
-	ln, err := c.fill(lineNum)
-	if err != nil {
+	if c.fillRec(ln) != nil {
 		return false
 	}
-	if ln.gen != want {
+	if ln.gen != sl.gen {
 		c.evictBlock(sb)
 		return false
 	}
 	return true
 }
 
-// evictBlock drops sb from the block cache. Per-line index entries are
-// cleaned lazily, as the decode cache does: a stale index entry whose
-// block is already gone is skipped at invalidation time.
+// evictBlock drops sb from the block cache and marks it dead, so no link
+// enters it again. Per-line index entries are cleaned lazily, as the
+// decode cache does: a listed RIP whose block is already gone is skipped
+// at invalidation time.
 func (c *Core) evictBlock(sb *superblock) {
-	if _, ok := c.jcache[sb.entry]; ok {
+	if c.jcache[sb.entry] == sb {
 		delete(c.jcache, sb.entry)
+		sb.dead = true
 		if len(sb.code) > 0 {
 			c.JITStats.Invalidations++
 		}
 	}
 }
 
-// jitIndexLine records that the block entered at rip covers line l.
-func (c *Core) jitIndexLine(l, rip uint64) {
-	set, ok := c.jcacheByLine[l]
-	if !ok {
-		set = make(map[uint64]struct{})
-		c.jcacheByLine[l] = set
-	}
-	set[rip] = struct{}{}
+// jitIndexLine records that the block entered at rip covers line l and
+// returns the line's record.
+func (c *Core) jitIndexLine(l, rip uint64) *cacheLine {
+	ln := c.record(l)
+	ln.sb = addRIP(ln.sb, rip)
+	return ln
 }
 
 // jitIncludable reports whether op may execute inside a superblock.
@@ -464,10 +512,9 @@ scan:
 	}
 	last := insts[len(insts)-1]
 	lastLine := (last.site + uint64(last.inst.Len) - 1) / cacheLineSize
-	sb := &superblock{
-		entry:     entry,
-		firstLine: firstLine,
-		gens:      append([]uint64(nil), gens[:lastLine-firstLine+1]...),
+	sb := &superblock{entry: entry, lines: make([]sbLine, lastLine-firstLine+1)}
+	for i := range sb.lines {
+		sb.lines[i] = sbLine{gen: gens[i], ln: c.jitIndexLine(firstLine+uint64(i), entry)}
 	}
 	for _, s := range insts {
 		endLine := int((s.site+uint64(s.inst.Len)-1)/cacheLineSize) - int(firstLine)
@@ -480,9 +527,6 @@ scan:
 		})
 	}
 	c.jcache[entry] = sb
-	for l := firstLine; l <= lastLine; l++ {
-		c.jitIndexLine(l, entry)
-	}
 	c.JITStats.Blocks++
 }
 

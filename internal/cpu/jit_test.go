@@ -419,45 +419,179 @@ func TestJITSyscallBoundaryTraceParity(t *testing.T) {
 	}
 }
 
+// placed assembles insts to run at site, taking the Imm of each relative
+// jump as its absolute target.
+func placed(site uint64, insts ...Inst) []byte {
+	var out []byte
+	for _, in := range insts {
+		switch in.Op {
+		case OpJmp, OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg:
+			in.Imm -= int64(site) + int64(len(out)+len(asm(in)))
+		}
+		out = append(out, asm(in)...)
+	}
+	return out
+}
+
+// linkCore returns a core over two RWX code pages running a loop of two
+// blocks: A at 0x1000 counts RCX down and jumps to B at 0x2000, which
+// adds the immediate at 0x2002 into RBX and jumps back. When RCX reaches
+// rewriteAt, A side-exits through a store of RSI's low byte into that
+// immediate (RDI = 0x2002) before jumping to B, so B is evicted by the
+// core's own store.
+func linkCore(t *testing.T, rcx, rewriteAt int64) *Core {
+	t.Helper()
+	as := mem.NewAddressSpace()
+	if err := as.Map(0x1000, 2*mem.PageSize, mem.PermRWX, "code"); err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []struct {
+		site  uint64
+		insts []Inst
+	}{
+		{0x1000, []Inst{
+			{Op: OpAddImm, A: RCX, Imm: -1},
+			{Op: OpCmpImm, A: RCX, Imm: 0},
+			{Op: OpJz, Imm: 0x1060},
+			{Op: OpCmpImm, A: RCX, Imm: rewriteAt},
+			{Op: OpJz, Imm: 0x1040},
+			{Op: OpJmp, Imm: 0x2000},
+		}},
+		{0x1040, []Inst{{Op: OpStoreB, A: RDI, B: RSI}, {Op: OpJmp, Imm: 0x2000}}},
+		{0x1060, []Inst{{Op: OpHlt}}},
+		{0x2000, []Inst{
+			{Op: OpMovImm, A: RAX, Imm: 1},
+			{Op: OpAdd, A: RBX, B: RAX},
+			{Op: OpJmp, Imm: 0x1000},
+		}},
+	} {
+		if err := as.KStore(chunk.site, placed(chunk.site, chunk.insts...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewCore(as)
+	c.Ctx.RIP = 0x1000
+	c.Ctx.R[RCX] = uint64(rcx)
+	c.Ctx.R[RDI] = 0x2002
+	c.Ctx.R[RSI] = 5
+	return c
+}
+
+// TestLinkSkipsSelfEvictedSuccessor: A's own store rewrites B midway
+// through one quantum, after B was linked from A and fully validated in
+// the same validation epoch. The link must not enter the evicted B:
+// entered through it, B would skip its line checks and add the old
+// immediate.
+func TestLinkSkipsSelfEvictedSuccessor(t *testing.T) {
+	on, off := linkCore(t, 300, 150), linkCore(t, 300, 150)
+	off.JITOff = true
+	sOn, sOff := on.Run(1<<20), off.Run(1<<20)
+	if !stopsEqual(sOn, sOff) || sOn.Kind != StopHalt {
+		t.Fatalf("stops %+v vs %+v, want halt", sOn, sOff)
+	}
+	coreStatesEqual(t, "self-evicted successor", on, off)
+	icacheEqual(t, "self-evicted successor", on, off)
+	if want := uint64(149*1 + 150*5); on.Ctx.R[RBX] != want {
+		t.Errorf("RBX = %d, want %d", on.Ctx.R[RBX], want)
+	}
+	if st := on.JITStats; st.Links == 0 || st.Invalidations == 0 {
+		t.Fatalf("test vacuous: %+v (need linked entries and an eviction)", st)
+	}
+}
+
+// TestLinkSkipsCrossCoreEvictedSuccessor: another core rewrites B
+// between quanta and the kernel serializes this core. B's revalidation
+// evicts it; from then on A's link to it must miss, so B is rebuilt over
+// the new bytes after one bail instead of bailing on every visit.
+func TestLinkSkipsCrossCoreEvictedSuccessor(t *testing.T) {
+	// RCX never reaches -1, so A never takes its own-store path.
+	on, off := linkCore(t, 2000, -1), linkCore(t, 2000, -1)
+	off.JITOff = true
+	for _, c := range []*Core{on, off} {
+		if s := c.Run(1000); s.Kind != StopNone {
+			t.Fatalf("first quantum stop = %+v", s)
+		}
+	}
+	old := on.jcache[0x2000]
+	if old == nil || len(old.code) == 0 || on.jcache[0x1000] == nil || on.jcache[0x1000].next[0] != old {
+		t.Fatalf("test vacuous: B not compiled and linked from A after the first quantum")
+	}
+	bails := on.JITStats.Bails
+	for _, c := range []*Core{on, off} {
+		if err := NewCore(c.AS).StoreAsSelf(0x2002, []byte{3}); err != nil {
+			t.Fatal(err)
+		}
+		c.FlushICache()
+	}
+	sOn, sOff := runQuanta(t, on, 1000, 100), runQuanta(t, off, 1000, 100)
+	if !stopsEqual(sOn, sOff) || sOn.Kind != StopHalt {
+		t.Fatalf("stops %+v vs %+v, want halt", sOn, sOff)
+	}
+	coreStatesEqual(t, "cross-core evicted successor", on, off)
+	icacheEqual(t, "cross-core evicted successor", on, off)
+	if !old.dead {
+		t.Error("rewritten block not marked dead")
+	}
+	if sb := on.jcache[0x2000]; sb == nil || sb == old {
+		t.Error("rewritten block was not rebuilt")
+	}
+	if n := on.JITStats.Bails - bails; n != 1 {
+		t.Errorf("%d bails after the rewrite, want 1: the old block was re-entered", n)
+	}
+}
+
 // FuzzSuperblockFormation feeds arbitrary bytes to two cores — JIT on
 // and JIT off — through a kernel-shaped schedule that restarts at the
 // entry point on every stop (which makes the entry hot and forces
-// compilation over whatever the bytes decode to). Every round must
-// agree on the stop, the architectural state, and the resident-line
-// set.
+// compilation over whatever the bytes decode to). Between quanta, ops
+// drives cross-core stores into the code page, three bytes a round:
+//
+//   - kind&3: 0 none; 1 rewrite 1–8 bytes at off with the bytes already
+//     there (the generation moves, the bytes do not); 2 write 1–8
+//     different bytes starting at val; 3 rewrite off's whole line with
+//     its own bytes. The length is (kind>>4)&7 + 1.
+//   - kind&4: then serialize both cores, as a kernel entry would.
+//
+// Both cores and both address spaces are snapshotted at round 20 and
+// restored at round 40. Every round must agree on the stop, the
+// architectural state, and the resident-line set.
 func FuzzSuperblockFormation(f *testing.F) {
-	f.Add(asm(
+	loop := asm(
 		Inst{Op: OpMovImm, A: RCX, Imm: 40},
 		Inst{Op: OpAddImm, A: RCX, Imm: -1},
 		Inst{Op: OpCmpImm, A: RCX, Imm: 0},
 		Inst{Op: OpJnz, Imm: -17},
 		Inst{Op: OpHlt},
-	))
+	)
+	f.Add(loop, []byte(nil))
+	f.Add(loop, []byte{ // identical, different and whole-line rewrites
+		0, 0, 0, 0x71, 10, 0, 0x01, 12, 0, 0x06, 10, 0x05, 0x03, 0, 0, 0x07, 20, 0, 0x12, 16, 0x07,
+	})
 	f.Add(asm( // straight line into a syscall
 		Inst{Op: OpMovImm, A: RAX, Imm: 500},
 		Inst{Op: OpMovRR, A: RDI, B: RAX},
 		Inst{Op: OpSyscall},
-	))
+	), []byte{0, 0, 0, 0x05, 2, 0, 0x02, 2, 0xF4})
 	f.Add(asm( // self-modifying: store over own line
 		Inst{Op: OpMovImm, A: RDI, Imm: 0x1030},
 		Inst{Op: OpMovImm, A: RBX, Imm: 0xF4},
 		Inst{Op: OpStoreB, A: RDI, B: RBX, Imm: 0}, // at 0x1014
 		Inst{Op: OpJmp, Imm: -12},                  // back to the StoreB
-	))
+	), []byte{0x03, 0x14, 0, 0x06, 0x30, 0x90})
 	f.Add(asm( // call/ret across lines
 		Inst{Op: OpMovImm, A: RAX, Imm: 0x1040},
 		Inst{Op: OpCallReg, A: RAX},
 		Inst{Op: OpHlt},
-	))
+	), []byte{0x07, 0x40, 0, 0x02, 0x40, 0xC3})
 	f.Add(asm( // load walking off the mapped data page
 		Inst{Op: OpMovImm, A: RSI, Imm: 0x200ff0},
 		Inst{Op: OpLoad, A: RAX, B: RSI, Imm: 0},
 		Inst{Op: OpAddImm, A: RSI, Imm: 8},
 		Inst{Op: OpJmp, Imm: -18},
-	))
-	f.Add([]byte{0x90, 0x0F, 0x05, 0xEB, 0xFE, 0xCC}) // nop;syscall;spin;int3
-	f.Add([]byte{0xEB, 0xFE})                         // jmp .-2
-	f.Add([]byte{0xB8, 0x00, 0x0F, 0x05, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90})
+	), []byte(nil))
+	f.Add([]byte{0x90, 0x0F, 0x05, 0xEB, 0xFE, 0xCC}, []byte{0x01, 3, 0}) // nop;syscall;spin;int3
+	f.Add([]byte{0xEB, 0xFE}, []byte(nil))                                // jmp .-2
+	f.Add([]byte{0xB8, 0x00, 0x0F, 0x05, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90}, []byte(nil))
 
 	build := func(data []byte, jitOff bool) (*Core, bool) {
 		as := mem.NewAddressSpace()
@@ -483,20 +617,74 @@ func FuzzSuperblockFormation(f *testing.F) {
 		return c, true
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// crossStore applies one op to as as another core's store would.
+	crossStore := func(t *testing.T, as *mem.AddressSpace, kind, off, val byte) {
+		addr, n := 0x1000+uint64(off), int(kind>>4)&7+1
+		var b []byte
+		switch kind & 3 {
+		case 0:
+			return
+		case 1, 3:
+			if kind&3 == 3 {
+				addr, n = addr&^(cacheLineSize-1), cacheLineSize
+			}
+			var err error
+			if b, err = as.KLoad(addr, n); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			for i := 0; i < n; i++ {
+				b = append(b, val+byte(i))
+			}
+		}
+		if err := as.KStore(addr, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		on, ok := build(data, false)
 		if !ok {
 			return
 		}
 		off, _ := build(data, true)
+		type snap struct {
+			as   *mem.ASState
+			core CoreState
+		}
+		var snaps [2]snap
 		for round := 0; round < 60; round++ {
+			name := fmt.Sprintf("round %d", round)
+			if len(ops) >= 3 {
+				kind, at, val := ops[0], ops[1], ops[2]
+				ops = ops[3:]
+				for _, c := range []*Core{on, off} {
+					crossStore(t, c.AS, kind, at, val)
+					if kind&4 != 0 {
+						c.FlushICache()
+					}
+				}
+			}
+			switch round {
+			case 20:
+				for i, c := range []*Core{on, off} {
+					snaps[i] = snap{c.AS.SnapshotState(nil), c.SnapshotState()}
+				}
+			case 40:
+				for i, c := range []*Core{on, off} {
+					c.AS.RestoreState(snaps[i].as)
+					c.RestoreState(snaps[i].core)
+				}
+				coreStatesEqual(t, name+" restored", on, off)
+				icacheEqual(t, name+" restored", on, off)
+			}
 			sOn := on.Run(181)
 			sOff := off.Run(181)
 			if !stopsEqual(sOn, sOff) {
-				t.Fatalf("round %d: stops differ: %+v vs %+v", round, sOn, sOff)
+				t.Fatalf("%s: stops differ: %+v vs %+v", name, sOn, sOff)
 			}
-			coreStatesEqual(t, fmt.Sprintf("round %d", round), on, off)
-			icacheEqual(t, fmt.Sprintf("round %d", round), on, off)
+			coreStatesEqual(t, name, on, off)
+			icacheEqual(t, name, on, off)
 			if t.Failed() {
 				t.FailNow()
 			}

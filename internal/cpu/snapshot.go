@@ -1,6 +1,10 @@
 package cpu
 
-import "k23/internal/mem"
+import (
+	"sort"
+
+	"k23/internal/mem"
+)
 
 // Checkpoint support. A core's architectural state — registers, PKRU,
 // TLS, retirement counters, and crucially the instruction cache — can
@@ -38,6 +42,7 @@ type CoreState struct {
 	DecodeStats DecodeCacheStats
 	JITStats    JITStats
 
+	// ICache lists the resident lines in ascending Base order.
 	ICache []ICacheLine
 }
 
@@ -66,18 +71,21 @@ func (c *Core) SnapshotState() CoreState {
 			s.ICache = append(s.ICache, ICacheLine{Base: line.base, Gen: line.gen, Data: line.data})
 		}
 	}
+	sort.Slice(s.ICache, func(i, j int) bool { return s.ICache[i].Base < s.ICache[j].Base })
 	return s
 }
 
 // RestoreState rewinds the core to the snapshot, in place: the Core
 // keeps its identity (the kernel's thread holds the pointer, and the
 // StepTrace hook, cache-off flags and AS binding are live configuration
-// owned by the caller). The I-cache is rebuilt exactly and every flushed
-// line is dropped: the address space's RestoreState rewinds its
-// genClock, so a generation value can recur and a kept line could be
-// revived over different bytes. The decode and superblock caches restart
-// cold, with their epoch advanced so no stale compiled state can be
-// considered validated.
+// owned by the caller). The I-cache is rebuilt exactly and every other
+// line record — flushed, or never filled — is dropped: the address
+// space's RestoreState rewinds its genClock, so a generation value can
+// recur and a kept line could be revived over different bytes. The
+// decode and superblock caches restart cold, with their epoch advanced
+// so no stale compiled state can be considered validated. Old blocks
+// need no dead mark: Run's link source is local to one call, so no
+// block built after the restore links to one from before it.
 func (c *Core) RestoreState(s CoreState) {
 	c.Ctx = s.Ctx
 	c.PKRU = s.PKRU
@@ -104,9 +112,7 @@ func (c *Core) RestoreState(s CoreState) {
 		c.icache[line.Base/cacheLineSize] = cl
 	}
 	c.dcache = make(map[uint64]*dcacheEntry)
-	c.dcacheByLine = make(map[uint64]map[uint64]struct{})
 	c.jcache = make(map[uint64]*superblock)
-	c.jcacheByLine = make(map[uint64]map[uint64]struct{})
 	c.hot = make(map[uint64]uint32)
 	c.jitSeq++
 }

@@ -759,9 +759,7 @@ func (k *Kernel) StateHash() uint64 {
 			}
 			fmt.Fprintf(h, "rip %#x fl %#x pkru %#x tls %#x cyc %d in %d cmc %d\n",
 				c.Ctx.RIP, c.Ctx.Flags(), uint32(c.PKRU), c.TLS, c.Cycles, c.Insts, c.CMCViolations)
-			lines := c.SnapshotState().ICache
-			sort.Slice(lines, func(i, j int) bool { return lines[i].Base < lines[j].Base })
-			for _, ln := range lines {
+			for _, ln := range c.SnapshotState().ICache {
 				fmt.Fprintf(h, "ic %#x %d ", ln.Base, ln.Gen)
 				h.Write(ln.Data[:])
 				h.Write([]byte{'\n'})

@@ -173,35 +173,38 @@ func TestObserverDeterministic(t *testing.T) {
 // collectors installs no hooks at all, and a run with it "installed" is
 // as fast as a plain run (single guarded branch, 20% tolerance).
 func TestDisabledHookGuard(t *testing.T) {
-	// Sized so a timed run lasts over a millisecond: shorter runs let
-	// scheduler noise from test packages running in parallel exceed the
-	// tolerance on its own.
-	const iters = 5000
-	timeRun := func(install bool) time.Duration {
-		best := time.Duration(1 << 62)
-		// Min-of-N absorbs scheduler noise on loaded CI hosts.
-		for rep := 0; rep < 10; rep++ {
-			w := loopWorld(iters)
-			if install {
-				o := obsv.New(obsv.Options{})
-				o.Install(w.K)
-				if w.K.EventHook != nil || w.K.ProfileHook != nil {
-					t.Fatal("disabled observer installed a hook")
-				}
-			}
-			start := time.Now()
-			runLoop(t, w, iters)
-			if d := time.Since(start); d < best {
-				best = d
+	timeRun := func(iters int, install bool) time.Duration {
+		w := loopWorld(iters)
+		if install {
+			o := obsv.New(obsv.Options{})
+			o.Install(w.K)
+			if w.K.EventHook != nil || w.K.ProfileHook != nil {
+				t.Fatal("disabled observer installed a hook")
 			}
 		}
-		return best
+		start := time.Now()
+		runLoop(t, w, iters)
+		return time.Since(start)
 	}
-	plain := timeRun(false)
-	disabled := timeRun(true)
+	// Size the loop so a timed plain run lasts at least 2 ms (the best
+	// of three, so a load spike does not stop the doubling early),
+	// however fast the simulator: shorter runs let scheduler noise from
+	// test packages running in parallel exceed the tolerance on its own.
+	iters := 1000
+	for iters < 1<<22 && min(timeRun(iters, false), timeRun(iters, false), timeRun(iters, false)) < 2*time.Millisecond {
+		iters *= 2
+	}
+	// Min-of-N absorbs scheduler noise on loaded CI hosts; alternating
+	// the two runs exposes both to the same load.
+	plain, disabled := time.Duration(1<<62), time.Duration(1<<62)
+	for rep := 0; rep < 10; rep++ {
+		plain = min(plain, timeRun(iters, false))
+		disabled = min(disabled, timeRun(iters, true))
+	}
+	t.Logf("%d getpids: plain %v, disabled %v", iters, plain, disabled)
 	if plain > 0 && float64(disabled) > float64(plain)*1.20 {
-		t.Errorf("disabled observer run %.2fx slower than plain (plain=%v disabled=%v)",
-			float64(disabled)/float64(plain), plain, disabled)
+		t.Errorf("disabled observer run %.2fx slower than plain over %d getpids (plain=%v disabled=%v)",
+			float64(disabled)/float64(plain), iters, plain, disabled)
 	}
 }
 
