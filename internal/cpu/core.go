@@ -404,17 +404,17 @@ func (c *Core) invalidateLine(addr uint64) {
 //     refill from memory, so the entry may only be replayed if memory
 //     still carries the generation it was decoded at. The refilled line
 //     is installed into the I-cache to keep the side effects identical.
-func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
+func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 	e, ok := c.dcache[rip]
 	if !ok {
-		return Inst{}, nil, false
+		return Inst{}, false
 	}
 	staleAny := false
 	for i := 0; i < e.nLines; i++ {
 		ln := e.lines[i]
 		if ln.epoch == c.icEpoch {
 			if ln.gen != e.lineGen[i] {
-				return Inst{}, nil, false
+				return Inst{}, false
 			}
 			if ln.gen != c.AS.Gen(ln.base) {
 				staleAny = true
@@ -424,13 +424,12 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 		// The refill is the uncached path's own fetch side effect, so the
 		// line stays resident even when the entry then misses.
 		if c.fillRec(ln) != nil || ln.gen != e.lineGen[i] {
-			return Inst{}, nil, false
+			return Inst{}, false
 		}
 	}
 	c.DecodeStats.Hits++
-	bytes := e.bytes[:e.inst.Len]
-	c.noteStaleness(e.inst, bytes, staleAny)
-	return e.inst, bytes, true
+	c.noteStaleness(e.inst, e.bytes[:e.inst.Len], staleAny)
+	return e.inst, true
 }
 
 // installDecoded records a freshly decoded instruction. All covered lines
@@ -472,19 +471,21 @@ func (c *Core) fetchByte(addr uint64) (b byte, ln *cacheLine, err error) {
 // fetch/EncodedLen/Decode path; a miss derives the encoding length from
 // the first byte (or first two, for prefixed encodings) so each
 // instruction is decoded exactly once, then installs a cache entry.
-func (c *Core) fetchInst() (Inst, []byte, error) {
+// The fetched bytes never leave this function, so the fetch buffer stays
+// on the stack.
+func (c *Core) fetchInst() (Inst, error) {
 	rip := c.Ctx.RIP
 	useCache := !c.DecodeCacheOff && !c.Coherent
 	if useCache {
-		if inst, bytes, ok := c.lookupDecoded(rip); ok {
-			return inst, bytes, nil
+		if inst, ok := c.lookupDecoded(rip); ok {
+			return inst, nil
 		}
 	}
 
 	var buf [MaxInstLen]byte
 	b0, _, err := c.fetchByte(rip)
 	if err != nil {
-		return Inst{}, nil, err
+		return Inst{}, err
 	}
 	buf[0] = b0
 	have := 1
@@ -493,25 +494,25 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 	if needSecond {
 		b1, _, err := c.fetchByte(rip + 1)
 		if err != nil {
-			return Inst{}, nil, err
+			return Inst{}, err
 		}
 		buf[1] = b1
 		have = 2
 		n, _ = EncodedLen(b0, b1, 2)
 	}
 	if n <= 0 {
-		return Inst{}, buf[:have], &DecodeError{Byte: b0}
+		return Inst{}, &DecodeError{Byte: b0}
 	}
 	for i := have; i < n; i++ {
 		bi, _, err := c.fetchByte(rip + uint64(i))
 		if err != nil {
-			return Inst{}, nil, err
+			return Inst{}, err
 		}
 		buf[i] = bi
 	}
 	inst, derr := Decode(buf[:n])
 	if derr != nil {
-		return Inst{}, buf[:n], derr
+		return Inst{}, derr
 	}
 	// One staleness check per distinct line the encoding covers (at most
 	// two, since MaxInstLen < cacheLineSize). Every covered line is
@@ -532,7 +533,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 		c.DecodeStats.Misses++
 		c.installDecoded(rip, inst, buf[:inst.Len])
 	}
-	return inst, buf[:inst.Len], nil
+	return inst, nil
 }
 
 // noteStaleness records a CMC violation if the executed bytes differ from
@@ -595,7 +596,7 @@ func (c *Core) StoreAsSelf(addr uint64, b []byte) error { return c.store(addr, b
 // instruction; on syscalls/hostcalls, RIP has advanced.
 func (c *Core) Step() Stop {
 	site := c.Ctx.RIP
-	inst, _, err := c.fetchInst()
+	inst, err := c.fetchInst()
 	if err != nil {
 		if f, ok := err.(*mem.Fault); ok {
 			return Stop{Kind: StopFault, Fault: f, Site: site}

@@ -16,7 +16,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"strings"
 	"sync"
@@ -368,18 +367,21 @@ func runMachine(ctx context.Context, m Machine, opt Options) Result {
 		}
 	}
 
-	eh := fnv.New64a()
+	// The event and trace hashes are rr's, line for line, so a fleet
+	// result and a recording of the same machine carry equal hashes.
+	eh, th := rr.NewFNV(), rr.NewFNV()
+	var line []byte
 	world.K.EventHook = func(e kernel.Event) {
 		if e.Kind == kernel.EvEnter {
 			res.Syscalls++
 		}
-		fmt.Fprintf(eh, "%d/%d %s %d %#x %#x %s\n", e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail)
+		r := rr.EventRec{PID: e.PID, TID: e.TID, Kind: e.Kind.String(), Num: e.Num, Site: e.Site, Ret: e.Ret, Detail: e.Detail}
+		line = r.AppendHashLine(line[:0])
+		eh.WriteBytes(line)
 	}
-	var th *fnvHasher
 	if opt.Hash {
-		th = newFNVHasher()
 		world.K.StepTrace = func(tid int, rip uint64, op cpu.Op) {
-			th.write(uint64(tid), rip, uint64(op))
+			th.WriteU64(uint64(tid), rip, uint64(op))
 		}
 	}
 	// Resolve the boot path: native spawn, or launch under the machine's
@@ -471,8 +473,8 @@ func runMachine(ctx context.Context, m Machine, opt Options) Result {
 
 	res.Exit = p.Exit
 	res.EventHash = eh.Sum64()
-	if th != nil {
-		res.TraceHash = th.sum()
+	if opt.Hash {
+		res.TraceHash = th.Sum64()
 	}
 	res.VFSHash = difftest.HashFS(world.K.FS)
 	res.ChaosInjected = world.K.ChaosInjected()
@@ -585,25 +587,6 @@ func minU64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// fnvHasher is an allocation-free FNV-1a accumulator for the trace
-// stream (hash.Hash64's Write path allocates via the interface).
-type fnvHasher struct{ h uint64 }
-
-func newFNVHasher() *fnvHasher { return &fnvHasher{h: 14695981039346656037} }
-
-func (f *fnvHasher) write(vs ...uint64) {
-	h := f.h
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= 1099511628211
-		}
-	}
-	f.h = h
-}
-
-func (f *fnvHasher) sum() uint64 { return f.h }
 
 // StandardFleet builds n machines cycling through the app workload
 // matrix (the Table 2 set), seeded deterministically: machine i always

@@ -523,6 +523,11 @@ type Kernel struct {
 	runOrder   []int
 	runThreads []*Thread
 
+	// writeBuf is sysWrite's scratch copy of the user buffer. Every
+	// consumer of written data copies what it keeps, so one buffer
+	// serves all writes up to maxWriteBuf bytes.
+	writeBuf []byte
+
 	// profileEvery is the sampling period in virtual-clock ticks
 	// (0 = profiling off); profileNext is the next sample deadline.
 	profileEvery uint64

@@ -37,10 +37,12 @@ type conn struct {
 }
 
 // maybeArm makes the next request readable once the previous one is
-// fully answered — a pipelining-1 keepalive client (wrk's model).
+// fully answered — a pipelining-1 keepalive client (wrk's model). The
+// pending input is a window on the connection's own request copy: reads
+// only slice it forward, so nothing writes through it.
 func (c *conn) maybeArm() {
 	if !c.awaiting && c.remaining > 0 && len(c.in) == 0 {
-		c.in = append(c.in, c.request...)
+		c.in = c.request[:len(c.request):len(c.request)]
 		c.remaining--
 		c.awaiting = true
 	}
@@ -76,7 +78,8 @@ func newNetStack() *netStack {
 
 // InjectConn queues a client connection on port carrying `requests`
 // back-to-back copies of request. Returns an error if nothing listens on
-// the port. The optional onResponse observes each response.
+// the port. The optional onResponse observes each response; the slice
+// it is passed is valid only for the duration of the call.
 func (k *Kernel) InjectConn(port int, request []byte, requests int, onResponse func([]byte)) error {
 	l, ok := k.net.listeners[port]
 	if !ok {

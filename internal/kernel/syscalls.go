@@ -671,6 +671,10 @@ func (k *Kernel) sysRead(t *Thread, n int, buf, count uint64) (ret uint64, block
 	}
 }
 
+// maxWriteBuf bounds the write scratch buffer a kernel keeps; a larger
+// write copies through a buffer of its own.
+const maxWriteBuf = 64 << 10
+
 func (k *Kernel) sysWrite(t *Thread, n int, buf, count uint64) uint64 {
 	p := t.Proc
 	// Linux resolves and validates the descriptor (fget + access-mode
@@ -695,8 +699,16 @@ func (k *Kernel) sysWrite(t *Thread, n int, buf, count uint64) uint64 {
 			return errno(EINVAL)
 		}
 	}
-	data, err := p.AS.KLoad(buf, int(count))
-	if err != nil {
+	var data []byte
+	if count <= uint64(cap(k.writeBuf)) {
+		data = k.writeBuf[:count]
+	} else {
+		data = make([]byte, count)
+		if count <= maxWriteBuf {
+			k.writeBuf = data
+		}
+	}
+	if err := p.AS.KLoadInto(buf, data); err != nil {
 		return errno(EFAULT)
 	}
 	// Chaos: a short write consumes a prefix; the caller's retry loop

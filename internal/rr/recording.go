@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"k23/internal/kernel"
 )
@@ -29,19 +30,40 @@ type EventRec struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// hashLine is the canonical accumulation line for the running event
-// hash — the recorder writes exactly this per event, and Validate
-// recomputes it over the stored stream to detect edited event lines.
-func (e *EventRec) hashLine() string {
-	return fmt.Sprintf("%d/%d %s %d %#x %#x %s\n",
-		e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail)
+// AppendHashLine appends the event's canonical accumulation line for
+// the running event hash to dst — the recorder hashes exactly this per
+// event, and Validate recomputes it over the stored stream to detect
+// edited event lines. The line is
+//
+//	<pid>/<tid> <kind> <num> 0x<site> 0x<ret> <detail>\n
+//
+// with decimal pid, tid and num and lower-case hex site and ret (fmt's
+// "%d/%d %s %d %#x %#x %s\n", so 0 hashes as "0x0"), built without fmt
+// so that hashing an event does not allocate.
+func (e *EventRec) AppendHashLine(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(e.PID), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(e.TID), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Kind...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, e.Num, 10)
+	dst = append(dst, " 0x"...)
+	dst = strconv.AppendUint(dst, e.Site, 16)
+	dst = append(dst, " 0x"...)
+	dst = strconv.AppendUint(dst, e.Ret, 16)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Detail...)
+	return append(dst, '\n')
 }
 
-// eventStreamHash folds the whole stream through hashLine.
+// eventStreamHash folds the whole stream through AppendHashLine.
 func eventStreamHash(events []EventRec) uint64 {
-	h := newFNV()
+	h := NewFNV()
+	var line []byte
 	for i := range events {
-		h.writeString(events[i].hashLine())
+		line = events[i].AppendHashLine(line[:0])
+		h.WriteBytes(line)
 	}
 	return h.h
 }

@@ -198,6 +198,29 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeldArgsDoNotAlias checks that the Args carved from the session's
+// slab are capped at their own six words, across a chunk boundary: an
+// append to one event's Args must reallocate, not overwrite the next
+// event's.
+func TestHeldArgsDoNotAlias(t *testing.T) {
+	var s Session
+	var held [][]uint64
+	for i := 0; i < 2*argSlabEvents+1; i++ {
+		held = append(held, s.holdArgs(&[6]uint64{uint64(i), 1, 2, 3, 4, 5}))
+	}
+	for i, a := range held {
+		if len(a) != 6 || cap(a) != 6 {
+			t.Fatalf("event %d: Args len %d cap %d, want 6 and 6", i, len(a), cap(a))
+		}
+		_ = append(a, ^uint64(0))
+	}
+	for i, a := range held {
+		if a[0] != uint64(i) || a[5] != 5 {
+			t.Fatalf("event %d: Args %v overwritten by a neighbour's append", i, a)
+		}
+	}
+}
+
 func TestJSONLRejectsCorruption(t *testing.T) {
 	s := record(t, pwdSpec())
 	var buf bytes.Buffer

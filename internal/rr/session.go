@@ -51,10 +51,14 @@ type Session struct {
 	launcher interpose.Launcher
 	replayOf *Recording
 	ckpts    []*liveCkpt
-	th, eh   fnvState
+	th, eh   FNV
 	steps    uint64
 	syscalls uint64
 	events   []EventRec
+	// line is the scratch buffer each event's hash line is built in;
+	// argSlab is the current chunk EvEnter events' Args are carved from.
+	line     []byte
+	argSlab  []uint64
 	lastCkpt uint64 // VClock at the last checkpoint
 	injected bool
 	// retracing suppresses checkpoint-taking and event/divergence
@@ -173,10 +177,10 @@ func (s *Session) boot(kopts []kernel.Option, hooks Hooks) error {
 		hooks.BeforeLaunch(w)
 	}
 
-	s.th, s.eh = newFNV(), newFNV()
+	s.th, s.eh = NewFNV(), NewFNV()
 	prevStep := w.K.StepTrace
 	w.K.StepTrace = func(tid int, rip uint64, op cpu.Op) {
-		s.th.writeU64(uint64(tid), rip, uint64(op))
+		s.th.WriteU64(uint64(tid), rip, uint64(op))
 		s.steps++
 		if prevStep != nil {
 			prevStep(tid, rip, op)
@@ -190,9 +194,10 @@ func (s *Session) boot(kopts []kernel.Option, hooks Hooks) error {
 			Seq: e.Seq, PID: e.PID, TID: e.TID, Kind: e.Kind.String(),
 			Num: e.Num, Site: e.Site, Ret: e.Ret, Clock: e.Clock, Detail: e.Detail,
 		}
-		s.eh.writeString(r.hashLine())
+		s.line = r.AppendHashLine(s.line[:0])
+		s.eh.WriteBytes(s.line)
 		if e.Kind == kernel.EvEnter {
-			r.Args = append([]uint64(nil), e.Args[:]...)
+			r.Args = s.holdArgs(&e.Args)
 		}
 		s.events = append(s.events, r)
 	})
@@ -205,6 +210,22 @@ func (s *Session) boot(kopts []kernel.Option, hooks Hooks) error {
 	s.P = p
 	s.lastCkpt = w.K.VClock
 	return s.takeCheckpoint()
+}
+
+// argSlabEvents is how many events' syscall arguments one argSlab chunk
+// holds.
+const argSlabEvents = 64
+
+// holdArgs copies an EvEnter event's arguments into the session's slab
+// and returns them as that event's Args. The slice's capacity ends at its
+// own last word, so an append to it can never overwrite a neighbour's.
+func (s *Session) holdArgs(a *[6]uint64) []uint64 {
+	if cap(s.argSlab)-len(s.argSlab) < len(a) {
+		s.argSlab = make([]uint64, 0, argSlabEvents*len(a))
+	}
+	n := len(s.argSlab)
+	s.argSlab = append(s.argSlab, a[:]...)
+	return s.argSlab[n : n+len(a) : n+len(a)]
 }
 
 // takeCheckpoint snapshots the world and the resumable recorder state.

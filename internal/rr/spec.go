@@ -120,28 +120,51 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnvState is a resumable FNV-1a accumulator: its value can be saved at
-// a checkpoint and restored before re-execution, so a replay from
-// checkpoint i finishes with the same final hash as the full run.
-type fnvState struct{ h uint64 }
+// FNV is a resumable FNV-1a accumulator: its value can be saved at a
+// checkpoint and restored before re-execution, so a replay from
+// checkpoint i finishes with the same final hash as the full run. It is
+// the recorder's step and event hash, and the fleet executor's.
+type FNV struct{ h uint64 }
 
-func newFNV() fnvState { return fnvState{h: fnvOffset} }
+// NewFNV returns an accumulator holding the FNV-1a offset basis.
+func NewFNV() FNV { return FNV{h: fnvOffset} }
 
-func (f *fnvState) writeU64(vs ...uint64) {
+// Sum64 returns the accumulated hash.
+func (f *FNV) Sum64() uint64 { return f.h }
+
+// fnvPow[k] is fnvPrime^k mod 2^64. FNV-1a xors each byte in before it
+// multiplies, and a zero byte xors in nothing, so k zero bytes in a row
+// fold into one multiply by fnvPow[k].
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// WriteU64 hashes each word as its 8 little-endian bytes. Bytes are
+// taken one at a time up to the highest non-zero one; the zero bytes
+// above it cost one multiply, which gives the byte-wise result exactly
+// because multiplication mod 2^64 is associative.
+func (f *FNV) WriteU64(vs ...uint64) {
 	h := f.h
 	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= fnvPrime
+		left := 8
+		for ; v != 0; v >>= 8 {
+			h = (h ^ (v & 0xff)) * fnvPrime
+			left--
 		}
+		h *= fnvPow[left]
 	}
 	f.h = h
 }
 
-func (f *fnvState) writeString(s string) {
+// WriteBytes hashes b byte by byte.
+func (f *FNV) WriteBytes(b []byte) {
 	h := f.h
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= fnvPrime
 	}
 	f.h = h
@@ -149,10 +172,7 @@ func (f *fnvState) writeString(s string) {
 
 // digest is a one-shot FNV-1a over a byte string.
 func digest(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	h := NewFNV()
+	h.WriteBytes(b)
+	return h.h
 }
