@@ -135,6 +135,10 @@ type cacheLine struct {
 	// covering the line, each RIP at most once. A listed RIP whose entry
 	// has since gone is skipped at invalidation time.
 	dc, sb []uint64
+	// entries has bit i set once a superblock entered at base+i was
+	// built. It is never cleared before the record is dropped, so a set
+	// bit means "a block may be entered here" (see retireNops).
+	entries uint64
 }
 
 // DecodeCacheStats counts decoded-instruction cache activity.

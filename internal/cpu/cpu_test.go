@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -526,5 +527,18 @@ func TestInstStringSmoke(t *testing.T) {
 		if i.String() == "" {
 			t.Fatalf("empty String for op %d", op)
 		}
+	}
+}
+
+// TestStopStaysSSAable: the Go compiler keeps a struct in registers
+// (SSA) only while it has at most 4 fields (MaxStruct in
+// cmd/compile/internal/ssa/decompose.go). Every superblock closure
+// returns (sbRes, Stop), so a fifth Stop field sends each of those
+// returns through memory: one extra bool cost server-mix about a quarter
+// of its guest instructions per CPU-second. Put new stop detail behind
+// an existing field instead.
+func TestStopStaysSSAable(t *testing.T) {
+	if n := reflect.TypeOf(Stop{}).NumField(); n > 4 {
+		t.Fatalf("cpu.Stop has %d fields; more than 4 keeps it out of registers", n)
 	}
 }

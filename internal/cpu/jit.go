@@ -1,6 +1,10 @@
 package cpu
 
-import "k23/internal/mem"
+import (
+	"math/bits"
+
+	"k23/internal/mem"
+)
 
 // This file implements the trace-JIT superblock engine layered over the
 // decoded-instruction cache: hot straight-line regions are "compiled"
@@ -49,11 +53,13 @@ const (
 	// jitMinBlockInsts is the smallest region worth a superblock;
 	// shorter regions are negative-cached as sentinels.
 	jitMinBlockInsts = 2
-	// jitMaxBlockInsts caps a superblock's instruction count.
+	// jitMaxBlockInsts caps a superblock's entries: instructions, with a
+	// run of NOPs inside one line counting once.
 	jitMaxBlockInsts = 64
 	// jitMaxBlockLines caps the contiguous I-cache line span of one
 	// block (jitMaxBlockInsts * MaxInstLen / cacheLineSize, rounded up,
-	// plus a straddle line).
+	// plus a straddle line). For a block of NOP runs it is the bound
+	// that binds first.
 	jitMaxBlockLines = jitMaxBlockInsts*MaxInstLen/cacheLineSize + 2
 	// jitMaxHot bounds the anchor-counter map; when full it is reset,
 	// which is deterministic (the reset point depends only on the
@@ -132,10 +138,16 @@ type sbClosure func(c *Core) (sbRes, Stop)
 // op, cycle cost — mirroring Step's accounting order), and the index
 // (into superblock.lines) of the last code line its encoding covers,
 // which drives the lazy line-fill watermark.
+//
+// A run of one-byte NOPs inside one code line is a single sbInst: the
+// dispatcher charges its first NOP as it charges any entry, the body
+// retires the rest (retireNopRun), and nops counts them all, so that a
+// budget can end inside the run.
 type sbInst struct {
 	run     sbClosure
 	site    uint64
 	op      Op
+	nops    int32
 	cost    uint64
 	endLine int
 }
@@ -162,6 +174,7 @@ type sbInst struct {
 type superblock struct {
 	entry uint64
 	code  []sbInst
+	insts int // instructions in code, NOPs counted one by one
 	lines []sbLine
 	seq   uint64
 	next  [2]*superblock
@@ -188,12 +201,21 @@ func (c *Core) jitActive() bool {
 // budget expiry). It is the kernel scheduler's quantum entry point; the
 // per-instruction Step remains the single-step API (and the profiler
 // deopt path).
+//
+// In both engines a step that moves RIP on by one byte almost always
+// retired a one-byte NOP, so Run then retires the rest of that NOP run
+// in its I-cache line in one go (retireNops). The test costs other
+// instructions only a compare of RIPs.
 func (c *Core) Run(budget int) Stop {
 	if !c.jitActive() {
 		for budget > 0 {
 			budget--
+			rip := c.Ctx.RIP
 			if stop := c.Step(); stop.Kind != StopNone {
 				return stop
+			}
+			if c.Ctx.RIP == rip+1 {
+				budget -= c.retireNops(budget, false)
 			}
 		}
 		return Stop{Kind: StopNone}
@@ -239,11 +261,78 @@ func (c *Core) Run(budget int) Stop {
 		if stop.Kind != StopNone {
 			return stop
 		}
-		if c.Ctx.RIP <= rip {
+		if c.Ctx.RIP == rip+1 {
+			budget -= c.retireNops(budget, true)
+		} else if c.Ctx.RIP <= rip {
 			anchor = true
 		}
 	}
 	return Stop{Kind: StopNone}
+}
+
+// retireNops retires the run of one-byte NOPs at RIP, up to the end of
+// RIP's I-cache line and at most budget of them, exactly as stepping
+// them one at a time would, and returns how many it retired:
+//
+//   - the line is filled or revived as fetchByte fills it;
+//   - a stale resident line (memory's generation moved on since the
+//     fill) retires nothing, so Step counts its CMC hazards fetch by
+//     fetch (pitfall P5); a line whose fill faults retires nothing, so
+//     Step raises the fault at its site;
+//   - every NOP goes through retireNopRun, which traces and charges it
+//     as Step does.
+//
+// atBlocks ends the run before any RIP a superblock may be entered at
+// (cacheLine.entries), where Run's per-step dispatch would have entered
+// the block; so JIT engagement is the same as stepping each NOP.
+func (c *Core) retireNops(budget int, atBlocks bool) int {
+	if budget <= 0 {
+		return 0
+	}
+	rip := c.Ctx.RIP
+	lineNum, off := rip/cacheLineSize, rip%cacheLineSize
+	end := uint64(cacheLineSize)
+	ln := c.icache[lineNum]
+	if ln != nil && atBlocks {
+		if m := ln.entries >> off; m != 0 {
+			end = off + uint64(bits.TrailingZeros64(m))
+		}
+	}
+	if end == off {
+		return 0
+	}
+	if ln != nil && ln.epoch == c.icEpoch {
+		if ln.gen != c.AS.Gen(ln.base) {
+			return 0
+		}
+	} else {
+		var err error
+		if ln, err = c.fill(lineNum); err != nil {
+			return 0
+		}
+	}
+	n := 0
+	for o := off; o < end && n < budget && ln.data[o] == ByteNop; o++ {
+		n++
+	}
+	c.retireNopRun(rip, n)
+	return n
+}
+
+// retireNopRun retires n one-byte NOPs starting at site with Step's
+// accounting: each is traced at its own site, then charged.
+func (c *Core) retireNopRun(site uint64, n int) {
+	if trace := c.StepTrace; trace != nil {
+		for i := 0; i < n; i++ {
+			trace(site+uint64(i), OpNop)
+			c.Cycles += InstCost(OpNop)
+			c.Insts++
+		}
+	} else {
+		c.Cycles += uint64(n) * InstCost(OpNop)
+		c.Insts += uint64(n)
+	}
+	c.Ctx.RIP = site + uint64(n)
 }
 
 // successor returns the cached block entered at rip, or nil. It follows
@@ -292,33 +381,29 @@ func (c *Core) noteHot(rip uint64) bool {
 
 // execBlock runs sb until it ends, side-exits, stops, bails, or the
 // budget is exhausted. It returns the stop (StopNone unless an
-// instruction stopped) and the number of instructions retired.
+// instruction stopped) and the number of instructions retired, which is
+// the growth of c.Insts: every retired instruction, NOPs included, is
+// charged there once.
 func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 	c.JITStats.Entries++
 	validated := sb.seq == c.jitSeq
 	trace := c.StepTrace
 	filled := 0
-	executed := 0
-	for i := range sb.code {
-		if executed >= budget {
-			c.JITStats.BlockInsts += uint64(executed)
-			return Stop{Kind: StopNone}, executed
-		}
+	start := c.Insts
+	// Entries before end fit the budget whole, so the loop checks no
+	// budget; tail NOPs of the NOP run at end retire after it.
+	end, tail := len(sb.code), 0
+	if budget < sb.insts {
+		end, tail = sb.clamp(budget)
+	}
+	for i := 0; i < end; i++ {
 		si := &sb.code[i]
 		// Lazy line fill: validate (and make resident) every code line
 		// this instruction's encoding covers, in fetch order, exactly
 		// when the interpreter's fetch would have. Skipped entirely when
 		// the block already fully validated in this epoch.
-		for !validated && filled <= si.endLine {
-			if !c.sbValidateLine(sb, filled) {
-				c.JITStats.Bails++
-				c.JITStats.BlockInsts += uint64(executed)
-				return Stop{Kind: StopNone}, executed
-			}
-			filled++
-			if filled == len(sb.lines) {
-				sb.seq = c.jitSeq
-			}
+		if !validated && filled <= si.endLine && !c.sbValidateTo(sb, &filled, si.endLine) {
+			return c.sbLeave(start, Stop{Kind: StopNone})
 		}
 		// Retirement accounting in Step's order: trace, charge, execute.
 		if trace != nil {
@@ -326,19 +411,58 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 		}
 		c.Cycles += si.cost
 		c.Insts++
-		res, stop := si.run(c)
-		executed++
-		switch res {
+		switch res, stop := si.run(c); res {
 		case sbExit:
-			c.JITStats.BlockInsts += uint64(executed)
-			return Stop{Kind: StopNone}, executed
+			return c.sbLeave(start, Stop{Kind: StopNone})
 		case sbStop:
-			c.JITStats.BlockInsts += uint64(executed)
-			return stop, executed
+			return c.sbLeave(start, stop)
 		}
 	}
-	c.JITStats.BlockInsts += uint64(executed)
-	return Stop{Kind: StopNone}, executed
+	if tail > 0 {
+		si := &sb.code[end]
+		if validated || c.sbValidateTo(sb, &filled, si.endLine) {
+			c.retireNopRun(si.site, tail)
+		}
+	}
+	return c.sbLeave(start, Stop{Kind: StopNone})
+}
+
+// sbLeave books the instructions retired since Insts was start as block
+// instructions and returns them with stop.
+func (c *Core) sbLeave(start uint64, stop Stop) (Stop, int) {
+	n := c.Insts - start
+	c.JITStats.BlockInsts += n
+	return stop, int(n)
+}
+
+// sbValidateTo validates sb's code lines from *filled through last, in
+// order, counting a bail when one fails.
+func (c *Core) sbValidateTo(sb *superblock, filled *int, last int) bool {
+	for ; *filled <= last; *filled++ {
+		if !c.sbValidateLine(sb, *filled) {
+			c.JITStats.Bails++
+			return false
+		}
+		if *filled+1 == len(sb.lines) {
+			sb.seq = c.jitSeq
+		}
+	}
+	return true
+}
+
+// clamp returns how many of sb's entries fit budget instructions whole,
+// and how many NOPs of the NOP run after them fit too.
+func (sb *superblock) clamp(budget int) (end, tail int) {
+	for i := range sb.code {
+		n := max(int(sb.code[i].nops), 1)
+		if n > budget {
+			// Only a NOP run can be cut: for any other entry n is 1
+			// and budget is 0.
+			return i, budget
+		}
+		budget -= n
+	}
+	return len(sb.code), 0
 }
 
 // sbValidateLine checks (and, if needed, fills) code line index idx of
@@ -457,11 +581,16 @@ func (c *Core) buildBlock(entry uint64) {
 		return data[li][addr%cacheLineSize], true
 	}
 
+	// A run of NOPs inside one line is one scanned entry (n NOPs) and
+	// counts once against jitMaxBlockInsts, so one block covers a
+	// trampoline sled's tail; jitMaxBlockLines still bounds the block.
 	type scanned struct {
 		inst Inst
 		site uint64
+		n    int
 	}
 	var insts []scanned
+	total := 0 // instructions scanned, NOPs counted one by one
 	addr := entry
 scan:
 	for len(insts) < jitMaxBlockInsts {
@@ -497,37 +626,61 @@ scan:
 		if !jitIncludable(inst.Op) {
 			break
 		}
-		insts = append(insts, scanned{inst: inst, site: addr})
+		total++
+		if inst.Op == OpNop && len(insts) > 0 {
+			if p := &insts[len(insts)-1]; p.inst.Op == OpNop && p.site/cacheLineSize == addr/cacheLineSize {
+				p.n++
+				addr++
+				continue
+			}
+		}
+		insts = append(insts, scanned{inst: inst, site: addr, n: 1})
 		addr += uint64(inst.Len)
 		if jitTerminal(inst.Op) {
 			break
 		}
 	}
 
-	if len(insts) < jitMinBlockInsts {
+	if total < jitMinBlockInsts {
 		c.jcache[entry] = &superblock{entry: entry}
 		c.jitIndexLine(firstLine, entry)
 		c.JITStats.Sentinels++
 		return
 	}
 	last := insts[len(insts)-1]
-	lastLine := (last.site + uint64(last.inst.Len) - 1) / cacheLineSize
+	lastLine := (last.site + uint64(last.n*last.inst.Len) - 1) / cacheLineSize
 	sb := &superblock{entry: entry, lines: make([]sbLine, lastLine-firstLine+1)}
 	for i := range sb.lines {
 		sb.lines[i] = sbLine{gen: gens[i], ln: c.jitIndexLine(firstLine+uint64(i), entry)}
 	}
+	sb.lines[0].ln.entries |= 1 << (entry % cacheLineSize)
 	for _, s := range insts {
-		endLine := int((s.site+uint64(s.inst.Len)-1)/cacheLineSize) - int(firstLine)
-		sb.code = append(sb.code, sbInst{
-			run:     bindInst(s.inst, s.site, firstLine, lastLine),
+		si := sbInst{
 			site:    s.site,
 			op:      s.inst.Op,
 			cost:    InstCost(s.inst.Op),
-			endLine: endLine,
-		})
+			endLine: int((s.site+uint64(s.n*s.inst.Len)-1)/cacheLineSize) - int(firstLine),
+		}
+		if s.inst.Op == OpNop {
+			si.nops = int32(s.n)
+			si.run = nopRunBody(s.site, s.n)
+		} else {
+			si.run = bindInst(s.inst, s.site, firstLine, lastLine)
+		}
+		sb.code = append(sb.code, si)
 	}
+	sb.insts = total
 	c.jcache[entry] = sb
 	c.JITStats.Blocks++
+}
+
+// nopRunBody returns the body of a run of n NOPs at site: the dispatcher
+// has traced and charged the first, the body retires the rest.
+func nopRunBody(site uint64, n int) sbClosure {
+	return func(c *Core) (sbRes, Stop) {
+		c.retireNopRun(site+1, n-1)
+		return sbNext, Stop{}
+	}
 }
 
 // bindInst compiles one instruction into a body closure with its
@@ -554,11 +707,6 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 
 	var body sbClosure
 	switch op {
-	case OpNop:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
 	case OpRdtsc:
 		body = func(c *Core) (sbRes, Stop) {
 			c.Ctx.R[RAX] = c.Cycles
@@ -837,8 +985,9 @@ func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
 			return sbNext, Stop{}
 		}
 	default:
-		// Unreachable: jitIncludable gates formation. A nil body would
-		// crash loudly; return an explicit always-bail closure instead.
+		// Unreachable: jitIncludable gates formation, and buildBlock
+		// binds NOP runs itself (nopRunBody). A nil body would crash
+		// loudly; return an explicit always-bail closure instead.
 		body = func(c *Core) (sbRes, Stop) {
 			return sbStop, Stop{Kind: StopIll, Site: site}
 		}

@@ -540,8 +540,9 @@ func TestLinkSkipsCrossCoreEvictedSuccessor(t *testing.T) {
 	}
 }
 
-// FuzzSuperblockFormation feeds arbitrary bytes to two cores — JIT on
-// and JIT off — through a kernel-shaped schedule that restarts at the
+// FuzzSuperblockFormation feeds arbitrary bytes to three cores — JIT
+// on, JIT off, and a reference that Steps one instruction at a time, so
+// never retires a NOP run in bulk — through a kernel-shaped schedule that restarts at the
 // entry point on every stop (which makes the entry hot and forces
 // compilation over whatever the bytes decode to). Between quanta, ops
 // drives cross-core stores into the code page, three bytes a round:
@@ -552,9 +553,9 @@ func TestLinkSkipsCrossCoreEvictedSuccessor(t *testing.T) {
 //     its own bytes. The length is (kind>>4)&7 + 1.
 //   - kind&4: then serialize both cores, as a kernel entry would.
 //
-// Both cores and both address spaces are snapshotted at round 20 and
-// restored at round 40. Every round must agree on the stop, the
-// architectural state, and the resident-line set.
+// Every core and address space is snapshotted at round 20 and restored
+// at round 40. Every round must agree on the stop, the architectural
+// state, and the resident-line set.
 func FuzzSuperblockFormation(f *testing.F) {
 	loop := asm(
 		Inst{Op: OpMovImm, A: RCX, Imm: 40},
@@ -592,6 +593,18 @@ func FuzzSuperblockFormation(f *testing.F) {
 	f.Add([]byte{0x90, 0x0F, 0x05, 0xEB, 0xFE, 0xCC}, []byte{0x01, 3, 0}) // nop;syscall;spin;int3
 	f.Add([]byte{0xEB, 0xFE}, []byte(nil))                                // jmp .-2
 	f.Add([]byte{0xB8, 0x00, 0x0F, 0x05, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90}, []byte(nil))
+	// Trampoline sleds: 512 NOPs and a springboard, entered at the top
+	// (the restart) and through a call into their middle, with
+	// cross-core writes into the sled, serialized and not.
+	sled := append(nops(512), placed(0x1200, Inst{Op: OpJmp, Imm: 0x1000})...)
+	f.Add(sled, []byte(nil))
+	f.Add(sled, []byte{0x01, 0x50, 0, 0x02, 0x90, 0xCC, 0x07, 0xC0, 0, 0x06, 0x3F, 0xF4, 0, 0, 0, 0x31, 0x40, 0})
+	f.Add(append(placed(0x1000, // call into the sled at 0x1047, return past it
+		Inst{Op: OpMovImm, A: RAX, Imm: 0x1047},
+		Inst{Op: OpCallReg, A: RAX},
+		Inst{Op: OpHlt},
+	), append(nops(0x1047-0x100d+300), asm(Inst{Op: OpRet})...)...), []byte{0x02, 0x60, 0xCC, 0x05, 0x40, 0})
+	f.Add(nops(int(mem.PageSize)), []byte{0x07, 0xFF, 0}) // a page of NOPs into the unmapped next page
 
 	build := func(data []byte, jitOff bool) (*Core, bool) {
 		as := mem.NewAddressSpace()
@@ -648,17 +661,19 @@ func FuzzSuperblockFormation(f *testing.F) {
 			return
 		}
 		off, _ := build(data, true)
+		ref, _ := build(data, true)
+		cores := []*Core{on, off, ref}
 		type snap struct {
 			as   *mem.ASState
 			core CoreState
 		}
-		var snaps [2]snap
+		var snaps [3]snap
 		for round := 0; round < 60; round++ {
 			name := fmt.Sprintf("round %d", round)
 			if len(ops) >= 3 {
 				kind, at, val := ops[0], ops[1], ops[2]
 				ops = ops[3:]
-				for _, c := range []*Core{on, off} {
+				for _, c := range cores {
 					crossStore(t, c.AS, kind, at, val)
 					if kind&4 != 0 {
 						c.FlushICache()
@@ -667,40 +682,43 @@ func FuzzSuperblockFormation(f *testing.F) {
 			}
 			switch round {
 			case 20:
-				for i, c := range []*Core{on, off} {
+				for i, c := range cores {
 					snaps[i] = snap{c.AS.SnapshotState(nil), c.SnapshotState()}
 				}
 			case 40:
-				for i, c := range []*Core{on, off} {
+				for i, c := range cores {
 					c.AS.RestoreState(snaps[i].as)
 					c.RestoreState(snaps[i].core)
 				}
 				coreStatesEqual(t, name+" restored", on, off)
 				icacheEqual(t, name+" restored", on, off)
+				coreStatesEqual(t, name+" restored (step)", on, ref)
+				icacheEqual(t, name+" restored (step)", on, ref)
 			}
 			sOn := on.Run(181)
 			sOff := off.Run(181)
-			if !stopsEqual(sOn, sOff) {
-				t.Fatalf("%s: stops differ: %+v vs %+v", name, sOn, sOff)
+			sRef := stepN(ref, 181)
+			if !stopsEqual(sOn, sOff) || !stopsEqual(sOn, sRef) {
+				t.Fatalf("%s: stops differ: %+v vs %+v vs step %+v", name, sOn, sOff, sRef)
 			}
 			coreStatesEqual(t, name, on, off)
 			icacheEqual(t, name, on, off)
+			coreStatesEqual(t, name+" (step)", on, ref)
+			icacheEqual(t, name+" (step)", on, ref)
 			if t.Failed() {
 				t.FailNow()
 			}
 			if sOn.Kind != StopNone {
 				// Kernel-shaped restart: serialize on kernel entries, then
 				// re-enter at the top (this is what makes 0x1000 hot).
-				if sOn.Kind == StopSyscall || sOn.Kind == StopSysenter {
-					on.FlushICache()
-					off.FlushICache()
-					on.Ctx.R[RAX] = 0
-					off.Ctx.R[RAX] = 0
+				for _, c := range cores {
+					if sOn.Kind == StopSyscall || sOn.Kind == StopSysenter {
+						c.FlushICache()
+						c.Ctx.R[RAX] = 0
+					}
+					c.Ctx.RIP = 0x1000
+					c.Ctx.R[RSP] = 0x100000 + mem.PageSize
 				}
-				on.Ctx.RIP = 0x1000
-				off.Ctx.RIP = 0x1000
-				on.Ctx.R[RSP] = 0x100000 + mem.PageSize
-				off.Ctx.R[RSP] = 0x100000 + mem.PageSize
 			}
 		}
 	})

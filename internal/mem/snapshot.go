@@ -7,8 +7,9 @@ package mem
 // every store, mprotect and remap, so "same gen" means "same bytes,
 // same permission" — an unchanged page's 4 KiB copy is shared with the
 // previous snapshot instead of re-copied. Restore always copies data
-// back into fresh page structs, so one ASState can seed any number of
-// restores and snapshot chains never alias live memory.
+// back into the live page structs (allocating only pages that are not
+// mapped), so one ASState can seed any number of restores and snapshot
+// chains never alias live memory.
 
 import (
 	"fmt"
@@ -68,13 +69,23 @@ func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 // RestoreState rewinds the address space to the snapshot, in place: the
 // AddressSpace object keeps its identity (cores and host closures that
 // hold the pointer stay valid) while its page table, regions and
-// genClock are replaced by copies of the snapshot's.
+// genClock are replaced by copies of the snapshot's. A page mapped both
+// now and in the snapshot keeps its struct and has the snapshot's bytes
+// copied into it; only pages not mapped now are allocated.
 func (a *AddressSpace) RestoreState(s *ASState) {
-	a.pages = make(map[uint64]*page, len(s.Pages))
+	for pn := range a.pages {
+		if _, ok := s.Pages[pn]; !ok {
+			delete(a.pages, pn)
+		}
+	}
 	for pn, ps := range s.Pages {
-		pg := &page{perm: ps.Perm, pkey: ps.Pkey, gen: ps.Gen}
+		pg := a.pages[pn]
+		if pg == nil {
+			pg = &page{}
+			a.pages[pn] = pg
+		}
+		pg.perm, pg.pkey, pg.gen = ps.Perm, ps.Pkey, ps.Gen
 		pg.data = *ps.Data
-		a.pages[pn] = pg
 	}
 	a.flushPageCache()
 	a.regions = append([]Region(nil), s.Regions...)

@@ -107,3 +107,45 @@ func TestASStateDeltaSharing(t *testing.T) {
 		t.Fatalf("delta snapshot corrupted by writes after a base restore: hash %#x, want %#x", got, h1)
 	}
 }
+
+// TestRestoreIntoLivePages: RestoreState copies the snapshot's bytes
+// into the page structs already mapped, drops pages the snapshot lacks
+// and allocates the ones it has that are not mapped. A store after a
+// restore must never reach the snapshot: restore, store, restore again
+// gives the first restore's state, and the snapshot's bytes are those
+// it was taken with.
+func TestRestoreIntoLivePages(t *testing.T) {
+	a := buildAS(t)
+	s0 := a.SnapshotState(nil)
+	want := *s0.Pages[PageNum(0x2000)].Data
+	kept := a.pages[PageNum(0x2000)]
+	if err := a.Unmap(0x400000, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Map(0x900000, PageSize, PermRW, "late"); err != nil {
+		t.Fatal(err)
+	}
+
+	a.RestoreState(s0)
+	h0 := a.StateHash()
+	if a.pages[PageNum(0x2000)] != kept {
+		t.Error("restore replaced a page that is mapped in the snapshot and now")
+	}
+	if a.pages[PageNum(0x900000)] != nil {
+		t.Error("restore kept a page the snapshot does not map")
+	}
+	if a.pages[PageNum(0x400000)] == nil {
+		t.Error("restore did not bring back a page the snapshot maps")
+	}
+
+	if err := a.KStore(0x2000, []byte("after restore")); err != nil {
+		t.Fatal(err)
+	}
+	if got := *s0.Pages[PageNum(0x2000)].Data; got != want {
+		t.Fatal("a store after the restore changed the snapshot's bytes")
+	}
+	a.RestoreState(s0)
+	if got := a.StateHash(); got != h0 {
+		t.Fatalf("second restore: hash %#x, want the first restore's %#x", got, h0)
+	}
+}
